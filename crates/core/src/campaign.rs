@@ -1,13 +1,17 @@
-//! The parallel campaign engine: fan independent `(config, scenario)`
-//! simulations out across a worker pool.
+//! The ordered executor, and the campaign engine that fans independent
+//! `(config, scenario)` simulations out across it.
+//!
+//! [`run_ordered`] is the workspace's one work-stealing loop: a
+//! [`Campaign`] folds its results into a `Vec`, and `cres-fleet` folds
+//! device summaries into its fleet SOC.
 //!
 //! Every experiment that sweeps `(profile, seed, scenario)` cells runs
 //! fully independent simulations — each builds its own
 //! [`crate::platform::Platform`] and consumes its own [`Scenario`] — so
 //! wall-clock should scale with cores,
 //! not with the number of cells. The sim kernel stays single-threaded *per
-//! run*; parallelism is strictly *across* runs, which is why parallel
-//! output is bit-identical to the sequential path (proved by
+//! run*; parallelism is strictly *across* runs, which is why the output is
+//! bit-identical to a sequential loop at any worker count (proved by
 //! `tests/campaign_determinism.rs`).
 //!
 //! [`Scenario`] itself holds `Box<dyn AttackInjector>` state and cannot be
@@ -45,14 +49,15 @@
 
 use crate::config::PlatformConfig;
 use crate::metrics::RunReport;
-use crate::pool::PlatformPool;
+use crate::pool::{PlatformPool, PoolStats};
 use crate::runner::{Scenario, ScenarioRunner};
 use crate::telemetry::TelemetrySnapshot;
 use cres_attacks::{AttackInjector, UnknownAttack};
 use cres_sim::{SimDuration, SimTime};
 use std::fmt;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A campaign failed before any simulation ran: a queued job's spec
@@ -334,95 +339,184 @@ where
         Ok(())
     }
 
-    /// Runs every job on the calling thread, in submission order.
-    ///
-    /// Fails up front — before any simulation runs — when a queued spec
-    /// references an attack the builder cannot resolve.
-    pub fn run_sequential(self) -> Result<CampaignSummary, CampaignError> {
-        self.validate()?;
-        let start = Instant::now();
-        let mut pool = PlatformPool::new();
-        let results = self
-            .jobs
-            .iter()
-            .map(|job| run_job(job, &self.builder, &mut pool))
-            .collect();
-        Ok(CampaignSummary {
-            results,
-            threads: 1,
-            total_wall: start.elapsed(),
-        })
-    }
-
-    /// Fans the jobs out across `threads` scoped workers.
-    ///
-    /// Work-stealing is a shared atomic cursor over the job list: each
-    /// worker claims the next unclaimed index until the list is drained, so
-    /// a slow cell never idles the other workers. Results are written back
-    /// into submission-order slots, making the output independent of
-    /// completion order — byte-identical to [`Campaign::run_sequential`].
+    /// Runs the jobs on `threads` workers of [`run_ordered`] (clamped to
+    /// `1..=jobs`) and collects the results in submission order, so the
+    /// output is byte-identical at any thread count.
     ///
     /// Fails up front — before any worker spawns — when a queued spec
     /// references an attack the builder cannot resolve.
     pub fn run_parallel(self, threads: usize) -> Result<CampaignSummary, CampaignError> {
-        let threads = threads.max(1).min(self.jobs.len().max(1));
-        if threads <= 1 {
-            return self.run_sequential();
-        }
         self.validate()?;
         let start = Instant::now();
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<JobResult>>> =
-            self.jobs.iter().map(|_| Mutex::new(None)).collect();
-        let jobs = &self.jobs;
-        let builder = &self.builder;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    // One pool per worker: provisioning cache and recycled
-                    // platform stay thread-local, so no locking on the hot
-                    // path.
-                    let mut pool = PlatformPool::new();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(index) else { break };
-                        let result = run_job(job, builder, &mut pool);
-                        *slots[index].lock().expect("campaign slot poisoned") = Some(result);
-                    }
-                });
-            }
-        });
-        let results = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("campaign slot poisoned")
-                    .expect("worker pool drained every job")
-            })
-            .collect();
+        let mut results = Vec::with_capacity(self.jobs.len());
+        let workers = run_ordered(
+            self.jobs.len(),
+            threads,
+            |pool, index| {
+                let job = &self.jobs[index];
+                let started = Instant::now();
+                let scenario = job
+                    .spec
+                    .materialise(&self.builder)
+                    .expect("specs validated before dispatch");
+                let report = ScenarioRunner::new(job.config).run_pooled(pool, scenario);
+                JobResult {
+                    label: job.label.clone(),
+                    report,
+                    wall: started.elapsed(),
+                }
+            },
+            |result| results.push(result),
+        );
         Ok(CampaignSummary {
             results,
-            threads,
+            threads: workers.len(),
             total_wall: start.elapsed(),
         })
     }
 }
 
-fn run_job<B>(job: &Job, builder: &B, pool: &mut PlatformPool) -> JobResult
-where
-    B: Fn(&str) -> BuiltAttack + Sync,
-{
-    let start = Instant::now();
-    let scenario = job
-        .spec
-        .materialise(&|name| builder(name))
-        .expect("specs validated before dispatch");
-    let report = ScenarioRunner::new(job.config).run_pooled(pool, scenario);
-    JobResult {
-        label: job.label.clone(),
-        report,
-        wall: start.elapsed(),
+/// How many finished results may wait for the fold in [`run_ordered`]'s
+/// reorder ring. Workers a full window ahead park, so at most
+/// `REORDER_WINDOW + workers` results are held however slow one item is.
+pub const REORDER_WINDOW: usize = 64;
+
+/// One [`run_ordered`] worker's accounting. It depends on scheduling, so
+/// it is never part of a result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WorkerStats {
+    /// Worker index.
+    pub worker: usize,
+    /// Items this worker ran.
+    pub items: usize,
+    /// The worker pool's final counters.
+    pub pool: PoolStats,
+}
+
+/// The reorder ring: result `i` waits in slot `i % REORDER_WINDOW`.
+struct Ring<T> {
+    slots: Vec<Option<T>>,
+    /// Results folded so far. Result `i` may enter the ring only while
+    /// `i < folded + REORDER_WINDOW`, so no two results share a slot.
+    folded: usize,
+    /// A worker or the fold panicked: every thread stops.
+    aborted: bool,
+}
+
+struct Shared<T> {
+    cursor: AtomicUsize,
+    ring: Mutex<Ring<T>>,
+    /// Signalled on each deposit the fold waits for, each fold and abort.
+    changed: Condvar,
+}
+
+impl<T> Shared<T> {
+    /// Locks the ring once `ready` holds or the run is aborted.
+    fn lock_when(&self, ready: impl Fn(&Ring<T>) -> bool) -> MutexGuard<'_, Ring<T>> {
+        // No code panics while holding the lock, and each update leaves the
+        // ring consistent; `aborted` is what reports a panic.
+        let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        self.changed
+            .wait_while(ring, |ring| !ring.aborted && !ready(ring))
+            .unwrap_or_else(PoisonError::into_inner)
     }
+
+    fn update(&self, update: impl FnOnce(&mut Ring<T>)) {
+        update(&mut self.lock_when(|_| true));
+        self.changed.notify_all();
+    }
+}
+
+/// Aborts the run when its thread unwinds, waking every waiter, so a panic
+/// reaches the caller instead of leaving the other threads waiting on a
+/// fold that will never move.
+struct AbortOnUnwind<'a, T>(&'a Shared<T>);
+
+impl<T> Drop for AbortOnUnwind<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.update(|ring| ring.aborted = true);
+        }
+    }
+}
+
+/// Runs `work(pool, i)` for every `i` in `0..items` on `workers` scoped
+/// threads (clamped to `1..=items`), and hands each result to `fold` on
+/// the calling thread, strictly in index order — so whatever `fold`
+/// builds is independent of the worker count.
+///
+/// Workers claim indices from one atomic cursor, so a slow item never
+/// idles the others, and each owns a [`PlatformPool`] that stays warm
+/// across its items. A finished result waits in the reorder ring until
+/// the fold reaches it; a worker [`REORDER_WINDOW`] or more items ahead
+/// of the fold parks until the fold catches up.
+///
+/// # Panics
+///
+/// Re-raises a panic from `work` or `fold` once every worker has stopped.
+/// The other workers stop after the item they are running.
+pub fn run_ordered<T, W, F>(items: usize, workers: usize, work: W, mut fold: F) -> Vec<WorkerStats>
+where
+    T: Send,
+    W: Fn(&mut PlatformPool, usize) -> T + Sync,
+    F: FnMut(T),
+{
+    let shared = &Shared {
+        cursor: AtomicUsize::new(0),
+        ring: Mutex::new(Ring {
+            slots: (0..REORDER_WINDOW).map(|_| None).collect(),
+            folded: 0,
+            aborted: false,
+        }),
+        changed: Condvar::new(),
+    };
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.clamp(1, items.max(1)))
+            .map(|worker| {
+                scope.spawn(move || {
+                    let _abort = AbortOnUnwind(shared);
+                    let mut pool = PlatformPool::new();
+                    let mut ran = 0;
+                    loop {
+                        // Relaxed: results travel through the ring's mutex.
+                        let index = shared.cursor.fetch_add(1, Ordering::Relaxed);
+                        if index >= items {
+                            break;
+                        }
+                        let result = work(&mut pool, index);
+                        let mut ring = shared.lock_when(|r| index < r.folded + REORDER_WINDOW);
+                        if ring.aborted {
+                            break;
+                        }
+                        ring.slots[index % REORDER_WINDOW] = Some(result);
+                        if index == ring.folded {
+                            shared.changed.notify_all();
+                        }
+                        ran += 1;
+                    }
+                    WorkerStats {
+                        worker,
+                        items: ran,
+                        pool: pool.stats(),
+                    }
+                })
+            })
+            .collect();
+        let _abort = AbortOnUnwind(shared);
+        for index in 0..items {
+            let slot = index % REORDER_WINDOW;
+            let taken = shared.lock_when(|ring| ring.slots[slot].is_some()).slots[slot].take();
+            // Empty only when a worker panicked: joining below re-raises it.
+            let Some(result) = taken else { break };
+            fold(result);
+            shared.update(|ring| ring.folded = index + 1);
+        }
+        handles
+            .into_iter()
+            .map(|handle| handle.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    })
 }
 
 /// Parses the `CRES_JOBS` override. Returns `Ok(None)` when the variable is
@@ -502,7 +596,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_in_submission_order() {
-        let sequential = small_campaign().run_sequential().expect("known attacks");
+        let sequential = small_campaign().run_parallel(1).expect("known attacks");
         let parallel = small_campaign().run_parallel(4).expect("known attacks");
         assert_eq!(sequential.results.len(), parallel.results.len());
         for (a, b) in sequential.results.iter().zip(&parallel.results) {
@@ -514,7 +608,7 @@ mod tests {
     #[test]
     fn merged_telemetry_is_thread_count_invariant() {
         let sequential = small_campaign()
-            .run_sequential()
+            .run_parallel(1)
             .expect("known attacks")
             .merged_telemetry();
         let parallel = small_campaign()
@@ -570,6 +664,43 @@ mod tests {
     fn dummy_report() -> RunReport {
         ScenarioRunner::new(PlatformConfig::new(PlatformProfile::PassiveTrust, 1))
             .run(Scenario::quiet(SimDuration::cycles(5_000)))
+    }
+
+    #[test]
+    fn run_ordered_reraises_a_worker_or_fold_panic_with_its_payload() {
+        let payload = |run: &dyn Fn()| {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("the panic must reach the caller");
+            *panic.downcast::<&str>().expect("original payload")
+        };
+        for workers in [1, 2, 8] {
+            let in_work = payload(&|| {
+                run_ordered(
+                    200,
+                    workers,
+                    |_, index| {
+                        if index == 70 {
+                            panic!("work 70");
+                        }
+                    },
+                    |()| {},
+                );
+            });
+            assert_eq!(in_work, "work 70", "{workers} workers");
+            let in_fold = payload(&|| {
+                run_ordered(
+                    200,
+                    workers,
+                    |_, index| index,
+                    |index| {
+                        if index == 70 {
+                            panic!("fold 70");
+                        }
+                    },
+                );
+            });
+            assert_eq!(in_fold, "fold 70", "{workers} workers");
+        }
     }
 
     #[test]

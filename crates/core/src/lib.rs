@@ -19,9 +19,9 @@
 //! * [`runner`] — the discrete-event scenario runner driving workload,
 //!   monitors, attacks and the detect→respond→recover loop,
 //! * [`metrics`] — the [`metrics::RunReport`] experiments consume,
-//! * [`campaign`] — the parallel campaign engine fanning independent
-//!   scenario runs across a scoped worker pool with deterministic,
-//!   submission-ordered results,
+//! * [`campaign`] — the ordered executor that campaigns and fleets share,
+//!   and the parallel campaign engine fanning independent scenario runs
+//!   across it with deterministic, submission-ordered results,
 //! * [`pool`] — per-worker platform pooling (provisioning cache +
 //!   platform recycling): campaign jobs skip repeated RSA keygen and big
 //!   buffer rebuilds while staying bit-identical to fresh runs,

@@ -13,6 +13,10 @@
 //! record's category/payload strings are inline [`cres_ssm::EvText`] now,
 //! and the incremental Merkle accumulator appends without rebuilding any
 //! tree.
+//!
+//! Allocations are counted per thread: libtest runs the two tests on
+//! parallel threads, and a shared counter would charge the pooled run's
+//! allocations to the append window.
 
 use cres_platform::config::{PlatformConfig, PlatformProfile};
 use cres_platform::runner::{Scenario, ScenarioRunner};
@@ -20,7 +24,7 @@ use cres_platform::PlatformPool;
 use cres_sim::{SimDuration, SimTime};
 use cres_ssm::EvidenceStore;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Hard ceiling for one warm pooled 100k-cycle run. Headroom over the
 /// measured count (~25k in release) without letting re-provisioning
@@ -29,20 +33,33 @@ const POOLED_RUN_ALLOC_CEILING: u64 = 50_000;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so counting never
+    // allocates inside the allocator and works during thread teardown.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.with(|allocs| allocs.set(allocs.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: delegates every operation to `System` unchanged; the counter is
 // a side effect only.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -64,9 +81,9 @@ fn warm_pooled_run_stays_under_alloc_ceiling() {
     let warm = ScenarioRunner::new(config).run_pooled(&mut pool, slice_scenario());
     assert!(warm.boot_ok);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let report = ScenarioRunner::new(config).run_pooled(&mut pool, slice_scenario());
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
 
     assert!(report.boot_ok);
     assert_eq!(report, warm, "pooled rerun diverged from its own warm-up");
@@ -90,11 +107,11 @@ fn warm_evidence_append_is_allocation_free() {
         store.append(SimTime::at_cycle(i), "bench", "payload line");
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for i in 1152..1408u64 {
         store.append(SimTime::at_cycle(i), "bench", "payload line");
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
 
     assert_eq!(
         after - before,

@@ -5,10 +5,10 @@
 //! The rest of the workspace simulates *one* embedded platform; critical
 //! infrastructure is a fleet. This crate instantiates N heterogeneous
 //! device platforms — profile, firmware batch and RNG stream forked per
-//! device from one base seed (see [`spec`]) — executes them through a
-//! sharded work-stealing runner (one shard per worker, each worker owning
+//! device from one base seed (see [`spec`]) — executes them on the
+//! workspace's one ordered executor (work-stealing workers, each owning
 //! its own `PlatformPool` so the warm path stays allocation-light and
-//! lock-free — see [`runner`]), and feeds compact per-device summaries
+//! lock-free — see [`runner`]), and folds compact per-device summaries
 //! into a streaming fleet SOC ([`soc`]) that runs *cross-device*
 //! correlation without ever materialising all N full `RunReport`s at
 //! once:
@@ -23,18 +23,18 @@
 //!   individually, and a confirmed campaign escalates to quarantining
 //!   every device carrying the signature.
 //!
-//! Memory stays bounded end to end: workers ship [`summary::DeviceSummary`]
-//! values (a few dozen bytes plus the attack name) through a bounded
-//! channel, the aggregator's reorder buffer is capped by a backpressure
-//! watermark ([`runner::REORDER_WINDOW`]), and fleet evidence is an
-//! incremental
-//! [`cres_crypto::merkle::MerkleAccumulator`] over per-device summary
-//! digests (O(log n) state).
+//! Memory stays bounded end to end. Only [`summary::DeviceSummary`]
+//! values (a few dozen bytes plus the attack name) leave a worker; they
+//! wait for the fold in a ring of [`REORDER_WINDOW`] slots, and a worker
+//! that far ahead parks until the fold catches up. Fleet evidence is an
+//! incremental [`cres_crypto::merkle::MerkleAccumulator`] over per-device
+//! summary digests (O(log n) state). A panicking device or observer is
+//! re-raised on the caller; it never leaves the run hanging.
 //!
 //! The fleet verdict is **bit-identical across worker counts**: the SOC
-//! ingests summaries strictly in device order (the aggregator reorders
-//! in-flight completions), so 1, 2 and 8 workers produce byte-equal
-//! [`soc::FleetVerdict`] JSON — pinned by `tests/fleet_determinism.rs`.
+//! ingests summaries strictly in device order, so 1, 2 and 8 workers
+//! produce byte-equal [`soc::FleetVerdict`] JSON — pinned by
+//! `tests/fleet_determinism.rs`.
 //!
 //! # Quickstart
 //!
@@ -55,10 +55,8 @@ pub mod soc;
 pub mod spec;
 pub mod summary;
 
-pub use runner::{
-    run_fleet, run_fleet_observed, run_fleet_with, FleetError, FleetReport, ShardStats,
-    REORDER_WINDOW,
-};
+pub use cres_platform::campaign::REORDER_WINDOW;
+pub use runner::{run_fleet, run_fleet_observed, FleetError, FleetReport};
 pub use soc::{FleetIncident, FleetSoc, FleetSocConfig, FleetVerdict, SignatureTrack};
 pub use spec::{AttackMix, DeviceAttack, DeviceSpec, FleetConfig};
 pub use summary::DeviceSummary;

@@ -1,40 +1,25 @@
-//! The sharded fleet runner: N devices across W warm worker shards.
+//! The fleet runner: N devices on W warm workers of the ordered executor
+//! [`run_ordered`].
 //!
-//! Work-stealing over an atomic cursor (the same discipline as the
-//! campaign engine): each worker claims the next unclaimed device id,
-//! forks its spec, and runs it on the worker's **own**
-//! [`PlatformPool`] — pools are never shared, so the warm path (cached
-//! provisioning cell + recycled platform) stays lock-free and
-//! allocation-light. Workers ship compact
-//! [`DeviceSummary`] values through one
-//! bounded channel; the aggregator (the calling thread) reorders
-//! in-flight completions and feeds the fleet SOC strictly in device
-//! order. A shared ingest watermark applies backpressure: a worker
-//! holds a finished summary until its device id is within
-//! [`REORDER_WINDOW`] ids of the watermark, so the reorder buffer —
-//! and with it total fleet memory — stays bounded no matter how far
-//! one slow device lets the other shards race ahead. Fleet verdicts
-//! are bit-identical across worker counts; only wall-clock and shard
-//! statistics vary with scheduling.
+//! Each worker forks the spec of every device id it claims and runs it on
+//! its **own** `PlatformPool`, so the warm path (cached provisioning cell
+//! and recycled platform) stays lock-free and allocation-light. Only the
+//! compact [`DeviceSummary`] leaves the worker. The calling thread folds
+//! summaries into the fleet SOC strictly in device order, so verdicts are
+//! bit-identical across worker counts. A worker a full
+//! [`REORDER_WINDOW`](crate::REORDER_WINDOW) ahead of the fold parks,
+//! which bounds fleet memory, and a panicking device or observer is
+//! re-raised on the caller instead of hanging the run.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use cres_platform::campaign::BuiltAttack;
+use cres_platform::campaign::{run_ordered, BuiltAttack, WorkerStats};
 use cres_platform::runner::ScenarioRunner;
-use cres_platform::{PlatformPool, PoolStats};
+use cres_platform::PoolStats;
 
 use crate::soc::{FleetSoc, FleetSocConfig, FleetVerdict};
 use crate::spec::{DeviceSpec, FleetConfig};
 use crate::summary::DeviceSummary;
-
-/// How far past the aggregator's ingest watermark a worker may ship a
-/// finished device summary. Bounds the reorder buffer (and hence fleet
-/// memory) even when one slow device stalls the in-order front while
-/// every other shard keeps completing.
-pub const REORDER_WINDOW: usize = 64;
 
 /// Why a fleet run refused to start.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,18 +42,6 @@ impl std::fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
-/// Per-worker shard accounting (schedule-dependent: *not* part of the
-/// verdict).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Worker index.
-    pub worker: usize,
-    /// Devices this shard executed.
-    pub devices: u32,
-    /// The shard pool's final counters.
-    pub pool: PoolStats,
-}
-
 /// The outcome of a fleet run: the deterministic verdict plus
 /// schedule-dependent performance accounting.
 #[derive(Debug, Clone)]
@@ -77,17 +50,14 @@ pub struct FleetReport {
     pub verdict: FleetVerdict,
     /// Devices executed.
     pub devices: u32,
-    /// Workers the run used.
+    /// Workers the run was given.
     pub workers: usize,
     /// Wall-clock time of the sharded execution.
     pub wall: Duration,
     /// Fleet throughput: devices per wall-clock second.
     pub devices_per_sec: f64,
-    /// Per-shard accounting, indexed by worker.
-    pub shards: Vec<ShardStats>,
-    /// Deepest the aggregator's reorder buffer ever got (≤
-    /// [`REORDER_WINDOW`], enforced by the ingest watermark).
-    pub peak_reorder: usize,
+    /// Per-worker accounting, indexed by worker (at most one per device).
+    pub shards: Vec<WorkerStats>,
 }
 
 impl FleetReport {
@@ -101,7 +71,8 @@ impl FleetReport {
     }
 }
 
-/// Runs the fleet with default SOC thresholds. See [`run_fleet_with`].
+/// Runs the fleet with default SOC thresholds and no observer. See
+/// [`run_fleet_observed`].
 pub fn run_fleet<B>(
     config: &FleetConfig,
     workers: usize,
@@ -110,32 +81,20 @@ pub fn run_fleet<B>(
 where
     B: Fn(&str) -> BuiltAttack + Sync,
 {
-    run_fleet_with(config, &FleetSocConfig::default(), workers, builder)
+    run_fleet_observed(config, &FleetSocConfig::default(), workers, builder, |_| {})
 }
 
-/// Runs `config.devices` device simulations across `workers` shards and
-/// correlates them through a fleet SOC with the given thresholds.
+/// Runs `config.devices` device simulations on `workers` workers,
+/// correlates them through a fleet SOC with the given thresholds, and
+/// shows every [`DeviceSummary`] to `observe` exactly once, in strict
+/// device-id order, right after the fleet SOC ingests it — the hook the
+/// export plane streams fleet-scale event logs from without a second pass
+/// over the fleet.
 ///
-/// The verdict inside the returned report is bit-identical for any
-/// `workers ≥ 1`; wall/throughput/shard fields are schedule-dependent.
-pub fn run_fleet_with<B>(
-    config: &FleetConfig,
-    soc_config: &FleetSocConfig,
-    workers: usize,
-    builder: B,
-) -> Result<FleetReport, FleetError>
-where
-    B: Fn(&str) -> BuiltAttack + Sync,
-{
-    run_fleet_observed(config, soc_config, workers, builder, |_| {})
-}
-
-/// [`run_fleet_with`] plus a summary observer: `observe` sees every
-/// [`DeviceSummary`] exactly once, in strict device-id order, immediately
-/// after the fleet SOC ingests it — the hook the export plane streams
-/// fleet-scale event logs from without a second pass over the fleet.
-/// Because the observer runs on the aggregator's in-order front, whatever
-/// it accumulates is bit-identical across worker counts.
+/// The verdict inside the returned report, and whatever `observe`
+/// accumulates, are bit-identical for any `workers ≥ 1`;
+/// wall/throughput/shard fields are schedule-dependent. A panic in a
+/// device simulation or in `observe` is re-raised once every worker stops.
 pub fn run_fleet_observed<B, O>(
     config: &FleetConfig,
     soc_config: &FleetSocConfig,
@@ -156,81 +115,26 @@ where
         builder(name).map_err(|e| FleetError::UnknownAttack(e.name))?;
     }
 
-    let cursor = AtomicUsize::new(0);
-    // Ids ingested so far: workers wait for `id < watermark + window`
-    // before sending, which caps the aggregator's reorder buffer.
-    let watermark = AtomicUsize::new(0);
-    let total = config.devices as usize;
-    let (tx, rx) = mpsc::sync_channel::<DeviceSummary>(workers * 4);
     let mut soc = FleetSoc::new(soc_config.clone());
-    let mut reorder: BTreeMap<u32, DeviceSummary> = BTreeMap::new();
-    let mut peak_reorder = 0usize;
     let started = Instant::now();
-
-    let shards = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let watermark = &watermark;
-                let builder = &builder;
-                scope.spawn(move || {
-                    let mut pool = PlatformPool::new();
-                    let mut devices = 0u32;
-                    loop {
-                        let id = cursor.fetch_add(1, Ordering::Relaxed);
-                        if id >= total {
-                            break;
-                        }
-                        let spec = DeviceSpec::generate(config, id as u32);
-                        let scenario = spec
-                            .scenario_spec()
-                            .materialise(builder)
-                            .expect("mix validated before spawn");
-                        let runner = ScenarioRunner::new(spec.platform_config(config.telemetry));
-                        let report = runner.run_pooled(&mut pool, scenario);
-                        // the full RunReport dies here: only the compact
-                        // summary crosses the channel
-                        let summary = DeviceSummary::from_report(id as u32, &report);
-                        // backpressure: don't race more than a window
-                        // ahead of the in-order ingest front
-                        while id >= watermark.load(Ordering::Acquire) + REORDER_WINDOW {
-                            std::thread::yield_now();
-                        }
-                        if tx.send(summary).is_err() {
-                            break;
-                        }
-                        devices += 1;
-                    }
-                    ShardStats {
-                        worker,
-                        devices,
-                        pool: pool.stats(),
-                    }
-                })
-            })
-            .collect();
-        drop(tx); // aggregator's recv loop ends when the last shard exits
-
-        // The calling thread is the aggregator: reorder in-flight
-        // completions and ingest strictly in device order.
-        while let Ok(summary) = rx.recv() {
-            reorder.insert(summary.device, summary);
-            peak_reorder = peak_reorder.max(reorder.len());
-            while let Some(next) = reorder.remove(&soc.ingested()) {
-                soc.ingest(&next);
-                observe(&next);
-            }
-            watermark.store(soc.ingested() as usize, Ordering::Release);
-        }
-
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fleet shard panicked"))
-            .collect::<Vec<_>>()
-    });
-
-    debug_assert!(reorder.is_empty(), "reorder buffer drained");
+    let shards = run_ordered(
+        config.devices as usize,
+        workers,
+        |pool, id| {
+            let spec = DeviceSpec::generate(config, id as u32);
+            let scenario = spec
+                .scenario_spec()
+                .materialise(&builder)
+                .expect("mix validated before spawn");
+            let runner = ScenarioRunner::new(spec.platform_config(config.telemetry));
+            // only the compact summary outlives the device's RunReport
+            DeviceSummary::from_report(id as u32, &runner.run_pooled(pool, scenario))
+        },
+        |summary| {
+            soc.ingest(&summary);
+            observe(&summary);
+        },
+    );
     let wall = started.elapsed();
     let verdict = soc.finish();
     debug_assert_eq!(verdict.devices, config.devices);
@@ -241,7 +145,6 @@ where
         devices_per_sec: f64::from(config.devices) / wall.as_secs_f64().max(1e-9),
         wall,
         shards,
-        peak_reorder,
     })
 }
 
@@ -277,11 +180,10 @@ mod tests {
         assert_eq!(report.devices, 12);
         assert_eq!(report.verdict.devices, 12);
         assert_eq!(
-            report.shards.iter().map(|s| s.devices).sum::<u32>(),
-            config.devices
+            report.shards.iter().map(|s| s.items).sum::<usize>(),
+            config.devices as usize
         );
         assert_eq!(report.verdict.evidence_leaves, 12);
-        assert!(report.peak_reorder <= REORDER_WINDOW);
         assert!(report.devices_per_sec > 0.0);
     }
 

@@ -1,16 +1,26 @@
 //! The fleet runner's core guarantee, mirroring `campaign_determinism`:
 //! sharding is a pure scheduling optimisation. The same fleet config run
 //! on 1, 2 and 8 workers yields byte-equal `FleetVerdict` JSON, and each
-//! of them equals what a hand-rolled sequential loop — no channels, no
-//! reorder buffer, one pool — produces by ingesting the same devices in
-//! order.
+//! of them equals what a hand-rolled sequential loop — no executor, no
+//! reorder ring, one pool — produces by ingesting the same devices in
+//! order. A panic in one device or in the observer ends the run with
+//! that panic, promptly, on any worker count.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use cres::attacks::catalog::try_build;
+use cres::attacks::{AttackInjector, AttackKind, AttackStepResult, AttackTargets};
 use cres::fleet::soc::{FleetSoc, FleetSocConfig, FleetVerdict};
 use cres::fleet::spec::{AttackMix, DeviceSpec, FleetConfig};
 use cres::fleet::summary::DeviceSummary;
-use cres::fleet::{run_fleet, FleetIncident};
+use cres::fleet::{run_fleet, run_fleet_observed, FleetIncident};
+use cres::platform::campaign::BuiltAttack;
 use cres::platform::{PlatformPool, ScenarioRunner};
+use cres::policy::DetectionCapability;
+use cres::sim::SimTime;
 
 fn config(devices: u32, seed: u64) -> FleetConfig {
     let mut config = FleetConfig::new(devices, seed);
@@ -56,8 +66,8 @@ fn worker_count_does_not_change_the_verdict() {
             "{workers} workers: verdict JSON bytes"
         );
         assert_eq!(
-            report.shards.iter().map(|s| s.devices).sum::<u32>(),
-            config.devices,
+            report.shards.iter().map(|s| s.items).sum::<usize>(),
+            config.devices as usize,
             "{workers} workers: shard coverage"
         );
     }
@@ -125,4 +135,94 @@ fn fleet_evidence_root_is_reproducible_per_device() {
         acc.append_digest(&DeviceSummary::from_report(id, &report).digest);
     }
     assert_eq!(acc.root(), Some(root));
+}
+
+/// Set by the first [`PanicOnFirstStep`] injector to be stepped, so
+/// exactly one device of a run panics.
+static STEPPED: AtomicBool = AtomicBool::new(false);
+
+/// A catalog injector that panics instead of running the first step any
+/// injector takes.
+struct PanicOnFirstStep(Box<dyn AttackInjector>);
+
+impl AttackInjector for PanicOnFirstStep {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn kind(&self) -> AttackKind {
+        self.0.kind()
+    }
+    fn detectable_by(&self) -> Vec<DetectionCapability> {
+        self.0.detectable_by()
+    }
+    fn steps(&self) -> u32 {
+        self.0.steps()
+    }
+    fn inject_step(
+        &mut self,
+        step: u32,
+        now: SimTime,
+        targets: &mut AttackTargets<'_>,
+    ) -> AttackStepResult {
+        assert!(
+            STEPPED.swap(true, Ordering::SeqCst),
+            "injected device fault"
+        );
+        self.0.inject_step(step, now, targets)
+    }
+    fn injection_times(&self) -> &[SimTime] {
+        self.0.injection_times()
+    }
+}
+
+fn panicking_build(name: &str) -> BuiltAttack {
+    try_build(name).map(|inner| Box::new(PanicOnFirstStep(inner)) as Box<dyn AttackInjector>)
+}
+
+/// Runs `run` on its own thread and asserts that it ends with a panic
+/// within 30 s: a run that hangs fails this test instead of stalling the
+/// suite.
+fn assert_panics_promptly(what: &str, run: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let panicked = catch_unwind(AssertUnwindSafe(run)).is_err();
+        tx.send(panicked).expect("the test is waiting");
+    });
+    let panicked = rx
+        .recv_timeout(Duration::from_secs(30))
+        .unwrap_or_else(|_| panic!("{what}: the run was still going after 30 s"));
+    handle.join().expect("catch_unwind holds the run's panic");
+    assert!(
+        panicked,
+        "{what}: the run finished without re-raising the panic"
+    );
+}
+
+fn flood_fleet() -> FleetConfig {
+    let mut config = config(200, 4242);
+    config.mix = AttackMix::campaign("network-flood");
+    config
+}
+
+#[test]
+fn a_panicking_device_ends_the_run_promptly_on_any_worker_count() {
+    for workers in [1, 2, 8] {
+        STEPPED.store(false, Ordering::SeqCst);
+        assert_panics_promptly(&format!("device panic, {workers} workers"), move || {
+            let _ = run_fleet(&flood_fleet(), workers, panicking_build);
+        });
+    }
+}
+
+#[test]
+fn a_panicking_observer_ends_the_run_promptly_on_any_worker_count() {
+    for workers in [1, 2, 8] {
+        assert_panics_promptly(&format!("observer panic, {workers} workers"), move || {
+            let observe = |summary: &DeviceSummary| {
+                assert_ne!(summary.device, 10, "injected observer fault");
+            };
+            let soc = FleetSocConfig::default();
+            let _ = run_fleet_observed(&flood_fleet(), &soc, workers, try_build, observe);
+        });
+    }
 }
