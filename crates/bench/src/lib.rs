@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
 //! Experiment harness support: shared formatting and sweep helpers for the
-//! `e*`/`a*` experiment binaries and criterion benches.
+//! `e*`/`a*` experiment binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure from the
 //! paper reproduction plan (see `DESIGN.md` §3 and `EXPERIMENTS.md`):
@@ -37,6 +37,7 @@
 pub mod scenarios;
 
 use cres_platform::campaign::CampaignSummary;
+use cres_platform::json::write_string;
 use cres_platform::RunReport;
 use std::fmt::Display;
 
@@ -72,16 +73,9 @@ pub fn emit_reports<'a>(
     let dir = std::env::var_os("CRES_REPORT_DIR")?;
     let mut out = String::new();
     for (label, report) in reports {
-        out.push_str("{\"label\":\"");
-        for c in label.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push_str("\",\"report\":");
+        out.push_str("{\"label\":");
+        write_string(&mut out, label);
+        out.push_str(",\"report\":");
         out.push_str(&report.to_json());
         out.push_str("}\n");
     }
@@ -143,5 +137,30 @@ mod tests {
         assert_eq!(opt_cycles(Some(42)), "42");
         assert_eq!(pct(0.5), "50.0%");
         assert_eq!(pct(1.0), "100.0%");
+    }
+
+    // The only test in this binary that reads CRES_REPORT_DIR, so setting
+    // it here races with nothing.
+    #[test]
+    fn emit_reports_escapes_labels() {
+        use cres_platform::{PlatformConfig, PlatformProfile, Scenario, ScenarioRunner};
+        use cres_sim::SimDuration;
+
+        let report = ScenarioRunner::new(PlatformConfig::new(PlatformProfile::CyberResilient, 1))
+            .run(Scenario::quiet(SimDuration::cycles(10_000)));
+        let dir = std::env::temp_dir().join(format!("cres-emit-reports-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create report dir");
+        std::env::set_var("CRES_REPORT_DIR", &dir);
+        let path = emit_reports("escape", [(r#"say "hi" C:\tmp"#, &report)]).expect("dir is set");
+        std::env::remove_var("CRES_REPORT_DIR");
+        let written = std::fs::read_to_string(&path).expect("read report file");
+        std::fs::remove_dir_all(&dir).expect("remove report dir");
+        assert_eq!(
+            written,
+            format!(
+                "{{\"label\":\"say \\\"hi\\\" C:\\\\tmp\",\"report\":{}}}\n",
+                report.to_json()
+            )
+        );
     }
 }

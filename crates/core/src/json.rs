@@ -1,4 +1,5 @@
-//! Hand-rolled JSON encoding/decoding for [`RunReport`].
+//! Hand-rolled JSON encoding/decoding for [`RunReport`], and the
+//! workspace's one JSON string writer.
 //!
 //! The workspace's `serde` is an offline marker shim (see
 //! `crates/shim-serde`), so real serialization lives here: a small writer
@@ -6,11 +7,14 @@
 //! report schema emits. Round-tripping is lossless — integers are kept as
 //! text until typed extraction (no `f64` detour for `u64` fields) and
 //! floats are written with Rust's shortest round-trip formatting.
+//!
+//! [`write_string`] and [`push_u64`] are public so every other JSON
+//! artifact (the `cres-obs` exporters, the experiment report files)
+//! escapes strings and renders integers through the same code.
 
 use crate::config::PlatformProfile;
 use crate::faultplane::FaultPlaneStats;
 use crate::metrics::{AttackOutcomeReport, RunReport};
-use crate::pool::PoolStats;
 use crate::telemetry::{HistogramSnapshot, StageStat, TelemetrySnapshot, TraceSpan};
 use cres_attacks::AttackKind;
 use cres_response::AvailabilityReport;
@@ -281,7 +285,11 @@ fn parse(text: &str) -> Result<Value> {
 
 // ---------------------------------------------------------------- writer
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string literal. `"` and `\`
+/// are backslash-escaped, newline, tab and carriage return use their
+/// short escapes, every other control character below U+0020 becomes
+/// `\u00XX`, and everything else is copied through unchanged.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -297,6 +305,25 @@ fn write_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// Appends `v` in decimal without going through `fmt` — the exporters
+/// render tens of thousands of integers per artifact, and the fmt
+/// machinery's per-argument overhead is the difference between an export
+/// that costs <1% of the run wall and one that costs 10% (`e16_observe`
+/// pins the budget).
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
 }
 
 /// `f64` with Rust's shortest round-trip formatting, made self-describing:
@@ -886,16 +913,6 @@ impl RunReport {
             out.push_str(",\"availability_detail\":");
             write_availability(&mut out, detail);
         }
-        // same optional-field contract: absent unless the pool-stats audit
-        // opted in, so default reports keep the pre-pool schema
-        if let Some(pool) = &self.pool {
-            let _ = write!(
-                out,
-                ",\"pool\":{{\"provision_hits\":{},\"provision_misses\":{},\
-                 \"platform_recycles\":{}}}",
-                pool.provision_hits, pool.provision_misses, pool.platform_recycles
-            );
-        }
         out.push('}');
         out
     }
@@ -948,19 +965,6 @@ impl RunReport {
                 None | Some(Value::Null) => None,
                 Some(value) => Some(availability_from_value(value)?),
             },
-            // optional: absent in pre-pool reports and whenever the audit
-            // knob is off
-            pool: match fields.get("pool") {
-                None | Some(Value::Null) => None,
-                Some(value) => {
-                    let fields = as_object(value)?;
-                    Some(PoolStats {
-                        provision_hits: get_u64(fields, "provision_hits")?,
-                        provision_misses: get_u64(fields, "provision_misses")?,
-                        platform_recycles: get_u64(fields, "platform_recycles")?,
-                    })
-                }
-            },
         })
     }
 }
@@ -970,6 +974,7 @@ mod tests {
     use super::*;
     use crate::telemetry::{TelemetryConfig, TelemetryRecorder};
     use cres_sim::StageSink;
+    use proptest::prelude::*;
 
     fn sample_telemetry() -> TelemetrySnapshot {
         let mut recorder = TelemetryRecorder::new(TelemetryConfig::default());
@@ -1055,11 +1060,6 @@ mod tests {
                 response_retries: 6,
                 degraded_correlation: true,
             }),
-            pool: Some(PoolStats {
-                provision_hits: 41,
-                provision_misses: 3,
-                platform_recycles: 43,
-            }),
         }
     }
 
@@ -1101,29 +1101,6 @@ mod tests {
         let json = report.to_json();
         assert!(!json.contains("availability_detail"));
         assert_eq!(RunReport::from_json(&json).expect("decode"), report);
-    }
-
-    #[test]
-    fn pool_stats_are_omitted_when_none() {
-        // same optional-field semantics as availability_detail: a report
-        // without the audit knob encodes exactly as pre-pool reports did
-        let mut report = sample_report();
-        report.pool = None;
-        let json = report.to_json();
-        assert!(!json.contains("\"pool\""));
-        assert_eq!(RunReport::from_json(&json).expect("decode"), report);
-    }
-
-    #[test]
-    fn pool_stats_round_trip() {
-        let report = sample_report();
-        let json = report.to_json();
-        assert!(json.contains(
-            "\"pool\":{\"provision_hits\":41,\"provision_misses\":3,\"platform_recycles\":43}"
-        ));
-        let back = RunReport::from_json(&json).expect("decode");
-        assert_eq!(back.pool, report.pool);
-        assert_eq!(back.to_json(), json);
     }
 
     #[test]
@@ -1216,6 +1193,20 @@ mod tests {
             value,
             Value::String("tab\there \"q\" back\\slash\nnew \u{1} 日本".into())
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // every control character, both escaped ASCII characters, the rest
+        // of printable ASCII and 2-, 3- and 4-byte UTF-8
+        #[test]
+        fn any_string_survives_the_writer(s in "[\u{0}-\u{1f}\"\\ -~é日🦀]{0,64}") {
+            let mut out = String::new();
+            write_string(&mut out, &s);
+            prop_assert!(out.bytes().all(|b| b >= 0x20), "raw control byte in {out:?}");
+            prop_assert_eq!(parse(&out).expect("parse"), Value::String(s));
+        }
     }
 
     #[test]

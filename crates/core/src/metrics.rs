@@ -2,7 +2,6 @@
 
 use crate::config::PlatformProfile;
 use crate::faultplane::FaultPlaneStats;
-use crate::pool::PoolStats;
 use crate::telemetry::TelemetrySnapshot;
 use cres_attacks::AttackKind;
 use cres_response::AvailabilityReport;
@@ -114,12 +113,6 @@ pub struct RunReport {
     /// accounting (tiers, breakers); `None` when the response policy
     /// engine was disabled for the run.
     pub availability_detail: Option<AvailabilityReport>,
-    /// The owning worker's cumulative [`PoolStats`] at the end of a pooled
-    /// run — proof the pool was warm. `None` for unpooled runs and unless
-    /// `telemetry.pool_stats` opts in: the counters depend on how many
-    /// jobs the worker had already run, so the field is schedule-dependent
-    /// and must stay out of reports that are diffed across thread counts.
-    pub pool: Option<PoolStats>,
 }
 
 impl RunReport {
@@ -202,7 +195,6 @@ mod tests {
             telemetry: None,
             faultplane: None,
             availability_detail: None,
-            pool: None,
         }
     }
 

@@ -140,14 +140,8 @@ impl ScenarioRunner {
     /// [`ScenarioRunner::run`]'s.
     pub fn run_pooled(&self, pool: &mut PlatformPool, scenario: Scenario) -> RunReport {
         let mut platform = pool.acquire(self.config);
-        let mut report = self.run_on(&mut platform, scenario, pool.scratch_mut());
+        let report = self.run_on(&mut platform, scenario, pool.scratch_mut());
         pool.release(platform);
-        // Opt-in pool-warmth audit: the counters are cumulative over the
-        // worker's whole job stream, hence schedule-dependent — see the
-        // `TelemetryConfig::pool_stats` docs for why this defaults off.
-        if self.config.telemetry.enabled && self.config.telemetry.pool_stats {
-            report.pool = Some(pool.stats());
-        }
         report
     }
 
@@ -422,7 +416,6 @@ impl ScenarioRunner {
             telemetry,
             faultplane,
             availability_detail,
-            pool: None,
         }
     }
 }

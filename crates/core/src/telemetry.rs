@@ -66,14 +66,6 @@ pub struct TelemetryConfig {
     /// one trace-FIFO write). Pure accounting — never injected into the
     /// simulation's event timing.
     pub span_cost: u64,
-    /// Attach the worker's [`crate::pool::PoolStats`] to pooled run
-    /// reports (`RunReport::pool`). Off by default: the pool's hit/miss
-    /// counters depend on how many jobs the owning worker has already run,
-    /// so the field is schedule-dependent and would break the bit-identity
-    /// the campaign determinism suite pins across worker counts. Turn it
-    /// on only for runs whose reports are not diffed across thread counts
-    /// (e.g. pool-warmth audits).
-    pub pool_stats: bool,
 }
 
 impl Default for TelemetryConfig {
@@ -82,7 +74,6 @@ impl Default for TelemetryConfig {
             enabled: true,
             ring_capacity: 4_096,
             span_cost: 2,
-            pool_stats: false,
         }
     }
 }
@@ -805,7 +796,6 @@ mod tests {
             enabled: true,
             ring_capacity: 8,
             span_cost: 5,
-            pool_stats: false,
         });
         span(&mut r, 1, Stage::MonitorSample);
         span(&mut r, 2, Stage::MonitorSample);

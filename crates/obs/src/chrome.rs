@@ -14,7 +14,7 @@
 
 use crate::capture::ObsCapture;
 use crate::log::{fault_name, policy_name};
-use crate::{json_escape, push_u64};
+use cres_platform::json::{push_u64, write_string};
 use cres_sim::Stage;
 use std::fmt::Write as _;
 
@@ -91,10 +91,13 @@ pub fn chrome_trace(captures: &[ObsCapture]) -> String {
         let _ = write!(
             out,
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"device-{} ({})\"}}}}",
-            capture.device,
-            json_escape(&capture.report.profile.to_string())
+             \"args\":{{\"name\":"
         );
+        write_string(
+            &mut out,
+            &format!("device-{} ({})", capture.device, capture.report.profile),
+        );
+        out.push_str("}}");
         // name every track the device actually used, stage order
         let mut used = [false; Stage::COUNT];
         for span in &capture.spans {

@@ -7,7 +7,7 @@
 //! [`fleet_jsonl`] renders that stream plus the verdict's incidents and
 //! the fleet evidence seal as one JSONL document; [`incident_dossiers`]
 //! turns each fleet incident into an
-//! [`IncidentDossier`][cres_forensics::IncidentDossier] by
+//! [`IncidentDossier`] by
 //! deterministically *re-running* the cited carrier devices
 //! ([`DeviceSpec::generate`] is pure in `(base_seed, device_id)`),
 //! verifying three independent things per carrier:

@@ -25,11 +25,11 @@
 //!   exported bytes, with no dependence on how they were produced.
 //!
 //! Everything here is **post-hoc**: exporters read a finished
-//! [`ObsCapture`] (taken from [`ScenarioRunner::run_keep`]
-//! [cres_platform::ScenarioRunner::run_keep]'s platform) or a finished
-//! fleet observation. Nothing touches the simulation hot path, so the
-//! zero-allocation discipline and bit-identical reports are untouched —
-//! `e16_observe` pins both.
+//! [`ObsCapture`] (taken from
+//! [`ScenarioRunner::run_keep`][cres_platform::ScenarioRunner::run_keep]'s
+//! platform) or a finished fleet observation. Nothing touches the
+//! simulation hot path, so the zero-allocation discipline and
+//! bit-identical reports are untouched — `e16_observe` pins both.
 //!
 //! [`Stage`]: cres_sim::Stage
 
@@ -47,51 +47,4 @@ pub use fleet::{
     IncidentReconstruction,
 };
 pub use log::{device_records, write_jsonl, LogEvent, LogRecord};
-pub use prom::{fleet_prometheus, pool_prometheus, prometheus};
-
-/// Escapes `s` for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Appends `v` in decimal without going through `fmt` — the exporters
-/// render tens of thousands of integers per artifact, and the fmt
-/// machinery's per-argument overhead is the difference between an export
-/// that costs <1% of the run wall and one that costs 10% (`e16_observe`
-/// pins the budget).
-pub(crate) fn push_u64(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
-}
-
-/// Lower-hex rendering of a 32-byte digest.
-pub(crate) fn hex32(bytes: &[u8; 32]) -> String {
-    let mut out = String::with_capacity(64);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
+pub use prom::{fleet_prometheus, prometheus};

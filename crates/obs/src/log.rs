@@ -20,7 +20,8 @@
 //! any worker count merge to identical bytes.
 
 use crate::capture::ObsCapture;
-use crate::{hex32, json_escape, push_u64};
+use cres_crypto::hex;
+use cres_platform::json::{push_u64, write_string};
 use cres_sim::Stage;
 use std::fmt::Write as _;
 
@@ -172,7 +173,7 @@ impl LogRecord {
                 let _ = write!(
                     out,
                     ",\"k\":\"seal\",\"root\":\"{}\",\"covered\":{covered}",
-                    hex32(root)
+                    hex::encode(root)
                 );
             }
             LogEvent::Device {
@@ -184,21 +185,22 @@ impl LogRecord {
                 chain_ok,
                 digest,
             } => {
+                out.push_str(",\"k\":\"device\",\"profile\":");
+                write_string(out, profile);
+                out.push_str(",\"attack\":");
+                match attack {
+                    Some(name) => write_string(out, name),
+                    None => out.push_str("null"),
+                }
                 let _ = write!(
                     out,
-                    ",\"k\":\"device\",\"profile\":\"{}\",\"attack\":{},\"detected\":{},\
-                     \"availability\":{availability},\"incidents\":{incidents},\
+                    ",\"detected\":{},\"availability\":{availability},\"incidents\":{incidents},\
                      \"chain_ok\":{chain_ok},\"digest\":\"{}\"",
-                    json_escape(profile),
-                    match attack {
-                        Some(name) => format!("\"{}\"", json_escape(name)),
-                        None => "null".into(),
-                    },
                     match detected {
                         Some(cycle) => cycle.to_string(),
                         None => "null".into(),
                     },
-                    hex32(digest)
+                    hex::encode(digest)
                 );
             }
             LogEvent::FleetIncident {
@@ -209,10 +211,10 @@ impl LogRecord {
             } => {
                 let _ = write!(
                     out,
-                    ",\"k\":\"fleet-incident\",\"type\":\"{kind}\",\"signature\":\"{}\",\
-                     \"devices\":{devices},\"detail\":{detail}",
-                    json_escape(signature)
+                    ",\"k\":\"fleet-incident\",\"type\":\"{kind}\",\"signature\":"
                 );
+                write_string(out, signature);
+                let _ = write!(out, ",\"devices\":{devices},\"detail\":{detail}");
             }
         }
         out.push('}');

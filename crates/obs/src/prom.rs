@@ -4,8 +4,7 @@
 //! histograms from the metrics registry plus the trace-ring and
 //! per-stage aggregates — in the Prometheus text exposition format, and
 //! a [`FleetVerdict`] as fleet-level aggregates. Histograms use
-//! cumulative-bucket semantics ([`HistogramSnapshot::cumulative_buckets`]
-//! [cres_platform::telemetry::HistogramSnapshot::cumulative_buckets]):
+//! cumulative-bucket semantics ([`HistogramSnapshot::cumulative_buckets`][cres_platform::telemetry::HistogramSnapshot::cumulative_buckets]):
 //! each `_bucket{le="N"}` counts observations ≤ N, the `+Inf` bucket
 //! equals `_count`, and `_sum` carries the observation sum.
 //!
@@ -13,7 +12,6 @@
 //! (already sorted), shortest-round-trip float formatting — so two runs
 //! of the same seed diff empty, which is exactly how CI consumes it.
 
-use crate::fleet::FleetObservation;
 use cres_fleet::{FleetIncident, FleetVerdict};
 use cres_platform::telemetry::TelemetrySnapshot;
 use std::fmt::Write as _;
@@ -120,8 +118,7 @@ pub fn prometheus(snapshot: &TelemetrySnapshot) -> String {
 /// detection outcomes, quarantines, incidents by kind, availability,
 /// evidence leaves — so the bytes are identical across worker counts.
 /// Schedule-dependent accounting (pool hit rate, throughput) is
-/// deliberately excluded from this artifact; it lives in
-/// [`pool_prometheus`], which callers append only to human-facing output.
+/// deliberately excluded from this artifact.
 pub fn fleet_prometheus(verdict: &FleetVerdict) -> String {
     let mut out = String::with_capacity(1024);
     for (name, value) in [
@@ -169,29 +166,6 @@ pub fn fleet_prometheus(verdict: &FleetVerdict) -> String {
             "cres_fleet_health_devices{{state=\"{state}\"}} {count}"
         );
     }
-    out
-}
-
-/// Schedule-dependent pool warmth gauges (hit rate varies with worker
-/// count and work-stealing order): append to operator-facing output only,
-/// never to determinism-diffed artifacts.
-pub fn pool_prometheus(observation: &FleetObservation) -> String {
-    let pool = observation.report.pool_stats();
-    let mut out = String::new();
-    type_line(&mut out, "cres_fleet_pool_hit_rate", "gauge");
-    let _ = writeln!(out, "cres_fleet_pool_hit_rate {}", pool.hit_rate());
-    type_line(&mut out, "cres_fleet_pool_provision_hits", "gauge");
-    let _ = writeln!(
-        out,
-        "cres_fleet_pool_provision_hits {}",
-        pool.provision_hits
-    );
-    type_line(&mut out, "cres_fleet_pool_provision_misses", "gauge");
-    let _ = writeln!(
-        out,
-        "cres_fleet_pool_provision_misses {}",
-        pool.provision_misses
-    );
     out
 }
 

@@ -20,7 +20,7 @@ enum Stimulus {
 fn stimulus(code: u16) -> Stimulus {
     // low bit-budget decode so `Vec<u16>` drives rich scripts: ~half the
     // space is quiet ticks, the rest spreads over 4 resources × weights 1..4
-    if code % 2 == 0 {
+    if code.is_multiple_of(2) {
         Stimulus::Quiet
     } else {
         Stimulus::Incident {

@@ -10,13 +10,10 @@
 //! * [`Simulator`] — an event queue with deterministic FIFO tie-breaking,
 //! * [`DetRng`] — a seedable, forkable deterministic random number generator
 //!   (xoshiro256** seeded via SplitMix64),
-//! * [`trace::TraceBuffer`] — a bounded in-simulation trace recorder,
 //! * [`stage`] — the pipeline-stage vocabulary ([`Stage`], [`StageSink`])
 //!   the telemetry layer's instrumentation points speak,
 //! * [`intern`] — the [`MonitorId`] interner keeping monitor names off the
-//!   hot event path,
-//! * [`stats`] — streaming statistics (Welford mean/variance, histograms)
-//!   used by experiment harnesses.
+//!   hot event path.
 //!
 //! # Determinism
 //!
@@ -45,13 +42,10 @@ pub mod event;
 pub mod intern;
 pub mod rng;
 pub mod stage;
-pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use event::{EventId, Simulator};
 pub use intern::{MonitorId, MonitorRegistry};
 pub use rng::DetRng;
 pub use stage::{fault_code, policy_code, NullSink, Stage, StageSink};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceBuffer, TraceEntry};
