@@ -972,12 +972,12 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{TelemetryConfig, TelemetryRecorder};
+    use crate::telemetry::TelemetryRecorder;
     use cres_sim::StageSink;
     use proptest::prelude::*;
 
     fn sample_telemetry() -> TelemetrySnapshot {
-        let mut recorder = TelemetryRecorder::new(TelemetryConfig::default());
+        let mut recorder = TelemetryRecorder::new();
         recorder.record_span(SimTime::at_cycle(100), Stage::MonitorSample, 2, 4);
         recorder.record_span(SimTime::at_cycle(100), Stage::EventEmit, 3, 1);
         recorder.record_span(SimTime::at_cycle(105), Stage::Respond, 1, 12);

@@ -16,7 +16,7 @@ use cres_monitor::{
 };
 use cres_monitor::{Severity, Subject};
 use cres_response::{BreakerKey, PolicyDecision, RecoveryBackend, ResponseManager, ResponsePolicy};
-use cres_sim::{MonitorId, NullSink, SimDuration, SimTime, StageSink};
+use cres_sim::{MonitorId, SimDuration, SimTime};
 use cres_soc::addr::MasterId;
 use cres_soc::periph::{Actuator, Sensor};
 use cres_soc::soc::{layout, SocBuilder};
@@ -174,10 +174,10 @@ struct Recycled {
     event_buf: Vec<MonitorEvent>,
     /// The previous SSM: evidence-record and intern-table storage is kept.
     ssm: Option<SystemSecurityManager>,
-    /// The previous telemetry recorder, tagged with the config it was built
-    /// for — reused (via [`TelemetryRecorder::reset`]) only when the new
-    /// config matches, since the ring capacity is config-determined.
-    telemetry: Option<(crate::telemetry::TelemetryConfig, TelemetryRecorder)>,
+    /// The previous telemetry recorder, reused (via
+    /// [`TelemetryRecorder::reset`]) whenever the new config has telemetry
+    /// on.
+    telemetry: Option<TelemetryRecorder>,
 }
 
 impl Platform {
@@ -197,14 +197,14 @@ impl Platform {
     }
 
     /// Re-provisions this platform in place for a new job, reusing the
-    /// event buffer, the SSM's evidence/intern storage and (when the
-    /// telemetry config matches) the telemetry recorder. Everything else is
+    /// event buffer, the SSM's evidence/intern storage and (when telemetry
+    /// stays on) the telemetry recorder. Everything else is
     /// rebuilt exactly as [`Platform::from_provisioned`] would — the pooled
     /// run is bit-identical to a fresh one (pinned by proptest).
     pub fn reset(&mut self, config: PlatformConfig, provisioned: Provisioned) {
         let mut event_buf = mem::take(&mut self.event_buf);
         event_buf.clear();
-        let telemetry = self.telemetry.take().map(|r| (self.config.telemetry, r));
+        let telemetry = self.telemetry.take();
         // Placeholder SSM (empty key, no records) so the real one can be
         // moved into the rebuild and keep its buffers.
         let ssm = mem::replace(
@@ -326,11 +326,11 @@ impl Platform {
             bootloader,
             evidence_key,
             telemetry: config.telemetry.enabled.then(|| match recycled.telemetry {
-                Some((prev, mut recorder)) if prev == config.telemetry => {
+                Some(mut recorder) => {
                     recorder.reset();
                     recorder
                 }
-                _ => TelemetryRecorder::new(config.telemetry),
+                None => TelemetryRecorder::new(),
             }),
             faultplane,
             policy: config
@@ -637,8 +637,9 @@ impl Platform {
         Some(out.next_delay)
     }
 
-    /// Samples every monitor, returning the collected events and charging
-    /// the overhead account.
+    /// Samples every monitor into the platform's reusable event buffer,
+    /// charging the overhead account. Returns the number of events
+    /// collected; feed them onward with [`Platform::ingest_sampled`].
     ///
     /// When the fault plane is armed this is the faulty interconnect:
     /// crashed monitors are skipped permanently, stalled monitors skip the
@@ -647,30 +648,10 @@ impl Platform {
     /// corruption — due delayed events from earlier batches are delivered
     /// first), and the SSM's heartbeat liveness sweep runs so a dead
     /// monitor is quarantined instead of silently trusted.
-    pub fn sample_monitors(&mut self, now: SimTime) -> Vec<MonitorEvent> {
-        let mut events = Vec::new();
-        self.sample_monitors_into(now, &mut events);
-        events
-    }
-
-    /// [`Platform::sample_monitors`] into the platform's reusable event
-    /// buffer — the steady-state path. Returns the number of events
-    /// collected; feed them onward with [`Platform::ingest_sampled`].
     pub fn sample_monitors_buffered(&mut self, now: SimTime) -> usize {
-        let mut events = mem::take(&mut self.event_buf);
+        let events = &mut self.event_buf;
         events.clear();
-        self.sample_monitors_into(now, &mut events);
-        let collected = events.len();
-        self.event_buf = events;
-        collected
-    }
-
-    fn sample_monitors_into(&mut self, now: SimTime, events: &mut Vec<MonitorEvent>) {
-        let mut null = NullSink;
-        let sink: &mut dyn StageSink = match self.telemetry.as_mut() {
-            Some(recorder) => recorder,
-            None => &mut null,
-        };
+        let sink = &mut self.telemetry;
         for (index, m) in self.monitors.iter_mut().enumerate() {
             if let Some(fp) = self.faultplane.as_mut() {
                 if fp.is_crashed(index, now) {
@@ -712,30 +693,16 @@ impl Platform {
                 ));
             }
         }
+        events.len()
     }
 
-    /// Feeds events to the SSM and executes any resulting plans. Returns
-    /// the plans executed (the runner schedules recovery follow-ups).
-    pub fn ingest_and_respond(
-        &mut self,
-        now: SimTime,
-        events: Vec<MonitorEvent>,
-    ) -> Vec<ResponsePlan> {
-        self.ingest_events(now, &events)
-    }
-
-    /// Ingests the events collected by [`Platform::sample_monitors_buffered`]
-    /// without giving up the reusable buffer. The steady-state no-incident
-    /// path through here performs no heap allocation.
+    /// Feeds the events collected by [`Platform::sample_monitors_buffered`]
+    /// to the SSM and executes any resulting plans, keeping the reusable
+    /// buffer. Returns the plans executed (the runner schedules recovery
+    /// follow-ups). The steady-state no-incident path through here performs
+    /// no heap allocation.
     pub fn ingest_sampled(&mut self, now: SimTime) -> Vec<ResponsePlan> {
-        let events = mem::take(&mut self.event_buf);
-        let plans = self.ingest_events(now, &events);
-        self.event_buf = events;
-        plans
-    }
-
-    fn ingest_events(&mut self, now: SimTime, events: &[MonitorEvent]) -> Vec<ResponsePlan> {
-        for e in events {
+        for e in &self.event_buf {
             // The baseline's console audit log (wipeable); the SSM's chain
             // is written inside ingest().
             if e.severity >= cres_monitor::Severity::Warning {
@@ -748,14 +715,9 @@ impl Platform {
                 ));
             }
         }
-        let plans = {
-            let mut null = NullSink;
-            let sink: &mut dyn StageSink = match self.telemetry.as_mut() {
-                Some(recorder) => recorder,
-                None => &mut null,
-            };
-            self.ssm.ingest_traced(now, events, sink)
-        };
+        let plans = self
+            .ssm
+            .ingest_traced(now, &self.event_buf, &mut self.telemetry);
         if self.policy.is_none() {
             for plan in &plans {
                 self.execute_plan(plan, now);
@@ -797,29 +759,22 @@ impl Platform {
             })
             .unwrap_or((BreakerKey::Platform, 1));
         let mut kept = Vec::with_capacity(plan.actions.len());
-        let decisions = {
-            let mut null = NullSink;
-            let sink: &mut dyn StageSink = match self.telemetry.as_mut() {
-                Some(recorder) => recorder,
-                None => &mut null,
-            };
-            let mut decisions = policy.on_incident(key, weight, now, sink);
-            for &action in &plan.actions {
-                if action == cres_ssm::ResponseAction::EnterDegradedMode {
-                    // the tier machine owns degradation now: a degrade
-                    // request raises one step (capped at CriticalOnly)
-                    // instead of flipping the legacy boolean posture
-                    decisions.extend(policy.request_degrade(key, now, sink));
-                    continue;
-                }
-                let (allowed, more) = policy.gate_action(key, action, now, sink);
-                decisions.extend(more);
-                if allowed {
-                    kept.push(action);
-                }
+        let sink = &mut self.telemetry;
+        let mut decisions = policy.on_incident(key, weight, now, sink);
+        for &action in &plan.actions {
+            if action == cres_ssm::ResponseAction::EnterDegradedMode {
+                // the tier machine owns degradation now: a degrade
+                // request raises one step (capped at CriticalOnly)
+                // instead of flipping the legacy boolean posture
+                decisions.extend(policy.request_degrade(key, now, sink));
+                continue;
             }
-            decisions
-        };
+            let (allowed, more) = policy.gate_action(key, action, now, sink);
+            decisions.extend(more);
+            if allowed {
+                kept.push(action);
+            }
+        }
         self.policy = Some(policy);
         self.apply_policy_decisions(now, decisions);
         ResponsePlan {
@@ -886,12 +841,7 @@ impl Platform {
         let quiet = incidents == self.policy_last_incidents;
         self.policy_last_incidents = incidents;
         let decisions = if quiet {
-            let mut null = NullSink;
-            let sink: &mut dyn StageSink = match self.telemetry.as_mut() {
-                Some(recorder) => recorder,
-                None => &mut null,
-            };
-            policy.quiet_tick(now, sink)
+            policy.quiet_tick(now, &mut self.telemetry)
         } else {
             Vec::new()
         };
@@ -916,14 +866,9 @@ impl Platform {
             sig_len: self.vendor_public.modulus_len(),
             key: &self.vendor_public,
         };
-        let mut null = NullSink;
-        let sink: &mut dyn StageSink = match self.telemetry.as_mut() {
-            Some(recorder) => recorder,
-            None => &mut null,
-        };
         let results =
             self.response
-                .execute_plan_traced(plan, now, &mut self.soc, &mut backend, sink);
+                .execute_plan(plan, now, &mut self.soc, &mut backend, &mut self.telemetry);
         for r in &results {
             if matches!(
                 r.action,
@@ -955,14 +900,9 @@ impl Platform {
         let Some(fp) = self.faultplane.as_mut() else {
             return plan.clone();
         };
-        let mut null = NullSink;
-        let sink: &mut dyn StageSink = match self.telemetry.as_mut() {
-            Some(recorder) => recorder,
-            None => &mut null,
-        };
         let mut kept = Vec::with_capacity(plan.actions.len());
         for &action in &plan.actions {
-            if fp.drops_response(now, sink) {
+            if fp.drops_response(now, &mut self.telemetry) {
                 let record = self.response.record_dropped(action, now);
                 self.ssm.record_response(now, &action.to_string(), false);
                 self.soc.uart.write_line(format!(
@@ -1000,7 +940,7 @@ impl Platform {
         let _ = self.syscall_mon.sample(&mut self.soc, SimTime::ZERO);
         self.syscall_mon.finish_training();
         // training traffic also hit the bus tap; flush the other monitors
-        let _ = self.sample_monitors(SimTime::ZERO);
+        self.sample_monitors_buffered(SimTime::ZERO);
         self.monitor_overhead_cycles = 0;
         self.critical_steps = 0;
         // spans from the training flush are pre-deployment noise
@@ -1072,8 +1012,8 @@ mod tests {
                 now += delay;
             }
         }
-        let events = p.sample_monitors(now);
-        let plans = p.ingest_and_respond(now, events);
+        p.sample_monitors_buffered(now);
+        let plans = p.ingest_sampled(now);
         assert!(plans.is_empty(), "benign workload triggered plans");
         assert!(p.ssm.incidents().is_empty());
         assert!(p.critical_steps >= 200);
@@ -1097,9 +1037,8 @@ mod tests {
                 now += d;
             }
         }
-        let events = p.sample_monitors(now);
-        assert!(!events.is_empty());
-        let plans = p.ingest_and_respond(now, events);
+        assert!(p.sample_monitors_buffered(now) > 0);
+        let plans = p.ingest_sampled(now);
         assert!(!plans.is_empty(), "no response to code injection");
         assert_eq!(
             p.ssm.incidents()[0].kind,
@@ -1127,14 +1066,8 @@ mod tests {
         }
         // baseline has no CFI monitor feeding the SSM — its monitor list is
         // watchdog-only, and cfi events are only collected on CRES profiles
-        let events: Vec<MonitorEvent> = {
-            let mut evs = Vec::new();
-            for m in &mut p.monitors {
-                evs.extend(m.sample(&mut p.soc, now));
-            }
-            evs
-        };
-        let plans = p.ingest_and_respond(now, events);
+        p.sample_monitors_buffered(now);
+        let plans = p.ingest_sampled(now);
         assert!(plans.is_empty());
         assert!(p.ssm.incidents().is_empty());
     }

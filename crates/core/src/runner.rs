@@ -1,10 +1,10 @@
 //! The discrete-event scenario runner.
 //!
-//! Drives the full detect→respond→recover loop: workload tasks pump
-//! themselves through the simulator, monitors sample on their period, the
-//! SSM ingests and plans, the response manager executes, and recovery
-//! checks return the platform to health after a quiet window. Attacks are
-//! scheduled scripts of injector steps.
+//! Drives the full detect→respond→recover loop over a queue of typed
+//! events: workload tasks step and re-arm, monitors sample on their
+//! period, the SSM ingests and plans, the response manager executes, and
+//! recovery checks return the platform to health after a quiet window.
+//! Attacks are scheduled scripts of injector steps.
 
 use crate::config::PlatformConfig;
 use crate::metrics::{matching_incident_kinds, AttackOutcomeReport, RunReport};
@@ -12,7 +12,7 @@ use crate::platform::Platform;
 use crate::pool::{PlatformPool, ScoreScratch};
 use cres_attacks::AttackInjector;
 use cres_forensics::Timeline;
-use cres_sim::{SimDuration, SimTime, Simulator};
+use cres_sim::{EventQueue, SimDuration, SimTime};
 use cres_soc::periph::{Packet, PacketKind};
 use cres_soc::soc::layout;
 use cres_soc::task::{control_loop_program, Criticality, Task, TaskId};
@@ -69,6 +69,35 @@ impl Scenario {
         });
         self
     }
+}
+
+/// Interval between Merkle audit seals over the evidence chain (an
+/// external auditor can then verify any single record without a full
+/// replay).
+const SEAL_PERIOD: SimDuration = SimDuration::cycles(250_000);
+
+/// What a scenario run schedules. [`ScenarioRunner::run_on`] pops and
+/// dispatches these in one `match`.
+#[derive(Clone, Copy)]
+enum Event {
+    /// Step a workload task; re-arms at the task's next-step delay.
+    TaskStep(TaskId),
+    /// The next step of attack `idx`; re-arms every `interval` while the
+    /// attack has steps left.
+    AttackStep { idx: usize, interval: SimDuration },
+    /// One round of benign background network traffic; re-arms every
+    /// `period`.
+    BenignTraffic { period: SimDuration },
+    /// Monitor sampling and the detect/respond/recover loop; re-arms every
+    /// monitor period.
+    MonitorTick,
+    /// A Merkle audit seal; re-arms every [`SEAL_PERIOD`].
+    Seal,
+    /// A reboot or rollback recovery has finished.
+    RebootDone,
+    /// A quiet window has ended: restore service if the incident count is
+    /// still `incidents` and the platform is not healthy.
+    QuietRecovery { incidents: usize },
 }
 
 /// Runs scenarios against a platform configuration.
@@ -158,111 +187,128 @@ impl ScenarioRunner {
             platform.train_syscall_monitor(scenario.training_rounds);
         }
 
-        let mut sim: Simulator<Platform> = Simulator::new();
-        let horizon = SimTime::ZERO + scenario.duration;
-
-        // Workload pumps.
+        // Same-instant events pop in schedule order, so this scheduling
+        // order and each periodic arm re-arming after its body are part of
+        // the output bytes.
+        let mut queue = EventQueue::new();
         for id in platform.soc.task_ids() {
-            pump_task(&mut sim, id, SimTime::at_cycle(1));
+            queue.schedule(SimTime::at_cycle(1), Event::TaskStep(id));
         }
-
-        // Benign traffic.
         if let Some(period) = scenario.benign_packet_period {
-            sim.schedule_periodic(period, |p, sim| {
-                let now = sim.now();
-                p.soc.deliver_packet(Packet {
-                    src: 2,
-                    dst: 1,
-                    len: 96,
-                    kind: PacketKind::Command,
-                    at: now,
-                });
-                p.soc.nic.send(Packet {
-                    src: 1,
-                    dst: 2,
-                    len: 128,
-                    kind: PacketKind::Telemetry,
-                    at: now,
-                });
-                while p.soc.nic.receive().is_some() {}
-                p.soc.irq.acknowledge(cres_soc::periph::IrqLine::NicRx);
-                true
-            });
+            queue.schedule(SimTime::ZERO + period, Event::BenignTraffic { period });
         }
-
-        // Monitor sampling + detect/respond/recover loop.
+        let monitor_period = self.config.monitor_period;
         let recovery_window = self.config.recovery_window;
         let policy_enabled = self.config.policy.enabled;
-        sim.schedule_periodic(self.config.monitor_period, move |p, sim| {
-            let now = sim.now();
-            // Policy heartbeat first: service-availability sampling and
-            // hysteresis holdoffs advance even on quiet ticks (no-op when
-            // the policy engine is off).
-            p.policy_tick(now);
-            // Buffered pair: the steady-state (no-event) tick reuses the
-            // platform's event buffer and performs no heap allocation.
-            let collected = p.sample_monitors_buffered(now);
-            if collected == 0 {
-                return true;
-            }
-            let plans = p.ingest_sampled(now);
-            for plan in &plans {
-                let reboots = plan.actions.iter().any(|a| {
-                    matches!(
-                        a,
-                        ResponseAction::RebootSystem
-                            | ResponseAction::RollbackFirmware
-                            | ResponseAction::GoldenRecovery
-                    )
-                });
-                if reboots {
-                    p.ssm
-                        .record_recovery_started(now, "reboot/rollback recovery");
-                    let done = now + p.response.reboot_duration() + SimDuration::cycles(1);
-                    sim.schedule_at(done, move |p: &mut Platform, _| {
-                        p.update.record_boot_success();
-                        p.ssm.record_recovered(done);
-                    });
-                } else if !policy_enabled {
-                    // Quiet-window recovery: if no new incidents arrive
-                    // within the window, restore service. The policy
-                    // engine supersedes this path — tiers step back to
-                    // Full through hysteresis in `policy_tick` instead of
-                    // snapping everything open after one quiet window.
-                    let incidents_now = p.ssm.incidents().len();
-                    sim.schedule_at(now + recovery_window, move |p: &mut Platform, sim| {
-                        if p.ssm.incidents().len() == incidents_now
-                            && p.ssm.health() != HealthState::Healthy
-                        {
-                            p.response.exit_degraded(&mut p.soc);
-                            p.response.restore_network(&mut p.soc);
-                            p.ssm.record_recovered(sim.now());
-                        }
-                    });
-                }
-            }
-            true
-        });
-
-        // Periodic Merkle audit seals over the evidence chain (an external
-        // auditor can then verify any single record without a full replay).
-        sim.schedule_periodic(SimDuration::cycles(250_000), |p, sim| {
-            p.ssm.seal_evidence(sim.now());
-            true
-        });
-
-        // Attacks.
+        queue.schedule(SimTime::ZERO + monitor_period, Event::MonitorTick);
+        queue.schedule(SimTime::ZERO + SEAL_PERIOD, Event::Seal);
         for spec in scenario.attacks {
             let idx = platform.add_attack(spec.injector);
             let interval = spec.step_interval;
-            pump_attack(&mut sim, idx, spec.start, interval);
+            queue.schedule(spec.start, Event::AttackStep { idx, interval });
         }
 
-        sim.run_until(platform, horizon);
+        let horizon = SimTime::ZERO + scenario.duration;
+        while let Some((now, event)) = queue.pop_until(horizon) {
+            match event {
+                Event::TaskStep(id) => {
+                    // halted/killed/in-reset: poll again later (response
+                    // actions may restart the task)
+                    let delay = platform
+                        .step_task_and_observe(id, now)
+                        .unwrap_or(SimDuration::cycles(2_000));
+                    queue.schedule(now + delay, event);
+                }
+                Event::AttackStep { idx, interval } => {
+                    if platform.attack_step(idx, now).is_some() {
+                        queue.schedule(now + interval, event);
+                    }
+                }
+                Event::BenignTraffic { period } => {
+                    let soc = &mut platform.soc;
+                    soc.deliver_packet(Packet {
+                        src: 2,
+                        dst: 1,
+                        len: 96,
+                        kind: PacketKind::Command,
+                        at: now,
+                    });
+                    soc.nic.send(Packet {
+                        src: 1,
+                        dst: 2,
+                        len: 128,
+                        kind: PacketKind::Telemetry,
+                        at: now,
+                    });
+                    while soc.nic.receive().is_some() {}
+                    soc.irq.acknowledge(cres_soc::periph::IrqLine::NicRx);
+                    queue.schedule(now + period, event);
+                }
+                Event::MonitorTick => {
+                    // Policy heartbeat first: service-availability sampling
+                    // and hysteresis holdoffs advance even on quiet ticks
+                    // (no-op when the policy engine is off).
+                    platform.policy_tick(now);
+                    // Buffered pair: the steady-state (no-event) tick reuses
+                    // the platform's event buffer and performs no heap
+                    // allocation.
+                    let plans = match platform.sample_monitors_buffered(now) {
+                        0 => Vec::new(),
+                        _ => platform.ingest_sampled(now),
+                    };
+                    for plan in &plans {
+                        let reboots = plan.actions.iter().any(|a| {
+                            matches!(
+                                a,
+                                ResponseAction::RebootSystem
+                                    | ResponseAction::RollbackFirmware
+                                    | ResponseAction::GoldenRecovery
+                            )
+                        });
+                        if reboots {
+                            platform
+                                .ssm
+                                .record_recovery_started(now, "reboot/rollback recovery");
+                            let reboot = platform.response.reboot_duration();
+                            let done = now + reboot + SimDuration::cycles(1);
+                            queue.schedule(done, Event::RebootDone);
+                        } else if !policy_enabled {
+                            // Quiet-window recovery: if no new incidents
+                            // arrive within the window, restore service. The
+                            // policy engine supersedes this path — tiers
+                            // step back to Full through hysteresis in
+                            // `policy_tick` instead of snapping everything
+                            // open after one quiet window.
+                            let incidents = platform.ssm.incidents().len();
+                            let at = now + recovery_window;
+                            queue.schedule(at, Event::QuietRecovery { incidents });
+                        }
+                    }
+                    queue.schedule(now + monitor_period, event);
+                }
+                Event::Seal => {
+                    platform.ssm.seal_evidence(now);
+                    queue.schedule(now + SEAL_PERIOD, event);
+                }
+                Event::RebootDone => {
+                    platform.update.record_boot_success();
+                    platform.ssm.record_recovered(now);
+                }
+                Event::QuietRecovery { incidents } => {
+                    if platform.ssm.incidents().len() == incidents
+                        && platform.ssm.health() != HealthState::Healthy
+                    {
+                        platform.response.exit_degraded(&mut platform.soc);
+                        platform.response.restore_network(&mut platform.soc);
+                        platform.ssm.record_recovered(now);
+                    }
+                }
+            }
+        }
 
         // Final drain so nothing observed goes unscored.
-        let events = platform.sample_monitors(horizon);
-        platform.ingest_and_respond(horizon, events);
+        platform.sample_monitors_buffered(horizon);
+        platform.ingest_sampled(horizon);
 
         Self::score(self.config, scenario.duration, platform, scratch)
     }
@@ -418,28 +464,6 @@ impl ScenarioRunner {
             availability_detail,
         }
     }
-}
-
-/// Self-rescheduling task pump.
-fn pump_task(sim: &mut Simulator<Platform>, id: TaskId, at: SimTime) {
-    sim.schedule_labeled(at, "task-step", move |p: &mut Platform, sim| {
-        let next = match p.step_task_and_observe(id, sim.now()) {
-            Some(delay) => sim.now() + delay,
-            // halted/killed/in-reset: poll again later (response actions
-            // may restart the task)
-            None => sim.now() + SimDuration::cycles(2_000),
-        };
-        pump_task(sim, id, next);
-    });
-}
-
-/// Self-rescheduling attack pump.
-fn pump_attack(sim: &mut Simulator<Platform>, idx: usize, at: SimTime, interval: SimDuration) {
-    sim.schedule_labeled(at, "attack-step", move |p: &mut Platform, sim| {
-        if p.attack_step(idx, sim.now()).is_some() {
-            pump_attack(sim, idx, sim.now() + interval, interval);
-        }
-    });
 }
 
 #[cfg(test)]

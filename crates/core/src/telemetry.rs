@@ -8,8 +8,9 @@
 //! [`cres_sim::StageSink`] trait, and the platform's [`TelemetryRecorder`]
 //! collects them into:
 //!
-//! * a fixed-capacity, no-alloc-on-hot-path [`TraceRing`] of
-//!   [`TraceSpan`]s stamped with the sim cycle clock,
+//! * a fixed-capacity ([`TRACE_RING_CAPACITY`] spans),
+//!   no-alloc-on-hot-path [`TraceRing`] of [`TraceSpan`]s stamped with the
+//!   sim cycle clock,
 //! * per-stage count/cycle accumulators (plain arrays indexed by
 //!   [`Stage::index`]),
 //! * a [`MetricsRegistry`] of named counters, gauges and fixed-bucket
@@ -17,28 +18,28 @@
 //!   incidents per kind, ring occupancy and evidence-chain length.
 //!
 //! Recording charges a nominal per-span instrumentation cost
-//! ([`TelemetryConfig::span_cost`] cycles, modelling a trace-macrocell
-//! FIFO write) into an accounting counter — it never perturbs the
-//! simulation itself, so a run with telemetry on is bit-identical to the
-//! same run with telemetry off in every non-telemetry report field
-//! (asserted by `e8_overhead`). Snapshots merge associatively in
-//! submission order ([`TelemetrySnapshot::merge`]), which is what keeps
+//! ([`SPAN_COST`] cycles, modelling a trace-macrocell FIFO write) into an
+//! accounting counter — it never perturbs the simulation itself, so a run
+//! with telemetry on is bit-identical to the same run with telemetry off
+//! in every non-telemetry report field (asserted by `e8_overhead`).
+//! Snapshots merge associatively in submission order
+//! ([`TelemetrySnapshot::merge`]), which is what keeps
 //! parallel campaign aggregation bit-identical to sequential
 //! (`tests/campaign_determinism.rs`).
 //!
 //! # Example
 //!
 //! ```
-//! use cres_platform::telemetry::{TelemetryConfig, TelemetryRecorder};
+//! use cres_platform::telemetry::{TelemetryRecorder, SPAN_COST};
 //! use cres_sim::{SimTime, Stage, StageSink};
 //!
-//! let mut recorder = TelemetryRecorder::new(TelemetryConfig::default());
+//! let mut recorder = TelemetryRecorder::new();
 //! recorder.record_span(SimTime::at_cycle(100), Stage::MonitorSample, 1, 2);
 //! recorder.record_span(SimTime::at_cycle(100), Stage::EventEmit, 3, 1);
 //!
 //! let snapshot = recorder.snapshot();
 //! assert_eq!(snapshot.spans_recorded, 2);
-//! assert_eq!(snapshot.instrumentation_cycles, 2 * snapshot.span_cost);
+//! assert_eq!(snapshot.instrumentation_cycles, 2 * SPAN_COST);
 //! assert_eq!(snapshot.stage(Stage::MonitorSample).unwrap().count, 1);
 //! ```
 
@@ -52,6 +53,15 @@ pub const LATENCY_BUCKETS: [u64; 8] = [
     1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 500_000,
 ];
 
+/// Trace ring capacity in spans (allocated once per recorder; the hot path
+/// never allocates).
+pub const TRACE_RING_CAPACITY: usize = 4_096;
+
+/// Nominal cycle cost charged per recorded span (the modelled price of one
+/// trace-FIFO write). Pure accounting — never injected into the
+/// simulation's event timing.
+pub const SPAN_COST: u64 = 2;
+
 /// Telemetry layer configuration, carried on
 /// [`crate::config::PlatformConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,22 +69,11 @@ pub struct TelemetryConfig {
     /// Master switch. When false the platform allocates no recorder and
     /// the instrumentation points cost one branch.
     pub enabled: bool,
-    /// Trace ring capacity in spans (fixed at construction; the hot path
-    /// never allocates).
-    pub ring_capacity: usize,
-    /// Nominal cycle cost charged per recorded span (the modelled price of
-    /// one trace-FIFO write). Pure accounting — never injected into the
-    /// simulation's event timing.
-    pub span_cost: u64,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            ring_capacity: 4_096,
-            span_cost: 2,
-        }
+        TelemetryConfig { enabled: true }
     }
 }
 
@@ -425,7 +424,6 @@ pub struct StageStat {
 /// + metrics registry, fed through [`StageSink`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryRecorder {
-    config: TelemetryConfig,
     ring: TraceRing,
     stage_counts: [u64; Stage::COUNT],
     stage_cycles: [u64; Stage::COUNT],
@@ -434,24 +432,19 @@ pub struct TelemetryRecorder {
 }
 
 impl TelemetryRecorder {
-    /// Creates a recorder; the detection-latency histogram is
-    /// pre-registered over [`LATENCY_BUCKETS`].
-    pub fn new(config: TelemetryConfig) -> Self {
+    /// Creates a recorder with a [`TRACE_RING_CAPACITY`]-span ring; the
+    /// detection-latency histogram is pre-registered over
+    /// [`LATENCY_BUCKETS`].
+    pub fn new() -> Self {
         let mut metrics = MetricsRegistry::new();
         metrics.histogram("detection_latency_cycles", &LATENCY_BUCKETS);
         TelemetryRecorder {
-            config,
-            ring: TraceRing::new(config.ring_capacity),
+            ring: TraceRing::new(TRACE_RING_CAPACITY),
             stage_counts: [0; Stage::COUNT],
             stage_cycles: [0; Stage::COUNT],
             instrumentation_cycles: 0,
             metrics,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> TelemetryConfig {
-        self.config
     }
 
     /// The trace ring (read access for dump tooling).
@@ -464,9 +457,8 @@ impl TelemetryRecorder {
         &mut self.metrics
     }
 
-    /// Accumulated instrumentation cost: spans recorded ×
-    /// [`TelemetryConfig::span_cost`]. This is the number E8 holds under
-    /// 5% of the run duration.
+    /// Accumulated instrumentation cost: spans recorded × [`SPAN_COST`].
+    /// This is the number E8 holds under 5% of the run duration.
     pub fn instrumentation_cycles(&self) -> u64 {
         self.instrumentation_cycles
     }
@@ -500,7 +492,7 @@ impl TelemetryRecorder {
             spans_dropped: self.ring.dropped(),
             ring_capacity: self.ring.capacity(),
             ring_occupancy: self.ring.len(),
-            span_cost: self.config.span_cost,
+            span_cost: SPAN_COST,
             instrumentation_cycles: self.instrumentation_cycles,
             stages,
             counters: self
@@ -525,13 +517,19 @@ impl TelemetryRecorder {
     }
 }
 
+impl Default for TelemetryRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl StageSink for TelemetryRecorder {
     #[inline]
     fn record_span(&mut self, at: SimTime, stage: Stage, arg: u32, cycles: u64) {
         self.ring.push(at, stage, arg, cycles);
         self.stage_counts[stage.index()] += 1;
         self.stage_cycles[stage.index()] += cycles;
-        self.instrumentation_cycles += self.config.span_cost;
+        self.instrumentation_cycles += SPAN_COST;
     }
 }
 
@@ -565,10 +563,10 @@ impl HistogramSnapshot {
 /// # JSON round-trip
 ///
 /// ```
-/// use cres_platform::telemetry::{TelemetryConfig, TelemetryRecorder};
+/// use cres_platform::telemetry::TelemetryRecorder;
 /// use cres_sim::{SimTime, Stage, StageSink};
 ///
-/// let mut recorder = TelemetryRecorder::new(TelemetryConfig::default());
+/// let mut recorder = TelemetryRecorder::new();
 /// recorder.record_span(SimTime::at_cycle(7), Stage::Respond, 1, 10);
 /// recorder.metrics_mut().counter_add("incidents.CodeInjection", 1);
 ///
@@ -792,15 +790,11 @@ mod tests {
 
     #[test]
     fn recorder_charges_span_cost_and_aggregates_stages() {
-        let mut r = TelemetryRecorder::new(TelemetryConfig {
-            enabled: true,
-            ring_capacity: 8,
-            span_cost: 5,
-        });
+        let mut r = TelemetryRecorder::new();
         span(&mut r, 1, Stage::MonitorSample);
         span(&mut r, 2, Stage::MonitorSample);
         span(&mut r, 3, Stage::Correlate);
-        assert_eq!(r.instrumentation_cycles(), 15);
+        assert_eq!(r.instrumentation_cycles(), 3 * SPAN_COST);
         let snap = r.snapshot();
         assert_eq!(snap.stage(Stage::MonitorSample).unwrap().count, 2);
         assert_eq!(snap.stage(Stage::MonitorSample).unwrap().cycles, 6);
@@ -811,7 +805,7 @@ mod tests {
 
     #[test]
     fn recorder_reset_clears_everything() {
-        let mut r = TelemetryRecorder::new(TelemetryConfig::default());
+        let mut r = TelemetryRecorder::new();
         span(&mut r, 1, Stage::EvidenceAppend);
         r.metrics_mut().counter_add("x", 1);
         r.reset();
@@ -828,7 +822,7 @@ mod tests {
     #[test]
     fn merge_is_submission_order_deterministic() {
         let mk = |cycle, counter: &str| {
-            let mut r = TelemetryRecorder::new(TelemetryConfig::default());
+            let mut r = TelemetryRecorder::new();
             span(&mut r, cycle, Stage::Classify);
             r.metrics_mut().counter_add(counter, 1);
             r.metrics_mut().gauge_set("g", cycle as f64);
@@ -861,7 +855,7 @@ mod tests {
 
     #[test]
     fn summary_and_stage_table_render() {
-        let mut r = TelemetryRecorder::new(TelemetryConfig::default());
+        let mut r = TelemetryRecorder::new();
         span(&mut r, 1, Stage::Respond);
         let snap = r.snapshot();
         assert!(snap.summary_line().contains("1 spans"));

@@ -12,11 +12,12 @@ use cres_platform::PlatformPool;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Hard per-device ceiling for a warm shard (60k-cycle device). A warm
-/// pooled 100k-cycle run costs ~25k allocations (see `alloc_campaign` in
-/// cres-platform); the fleet adds spec forking and a summary on top.
-/// Re-provisioning alone would blow through this 10x over.
-const WARM_DEVICE_ALLOC_CEILING: u64 = 50_000;
+/// Hard per-device ceiling for a warm shard (60k-cycle device). Measured:
+/// 13,947 in release and 13,927 in the test profile, spec forking and a
+/// summary included (see `alloc_campaign` in cres-platform for the pooled
+/// run alone). A boxed closure per scheduled event would cost 16,244;
+/// re-provisioning alone would blow through this 40x over.
+const WARM_DEVICE_ALLOC_CEILING: u64 = 15_000;
 
 struct CountingAlloc;
 

@@ -204,8 +204,9 @@ pub trait ResourceMonitor {
     /// [`ResourceMonitor::sample_into`] with telemetry: records one
     /// `monitor-sample` span (arg = events produced, cycles =
     /// [`ResourceMonitor::sample_cost`]) plus one `event-emit` span per
-    /// event (arg = severity rank). Pass [`cres_sim::NullSink`] to trace
-    /// nothing — the default platform path when telemetry is disabled.
+    /// event (arg = severity rank). Pass [`cres_sim::NullSink`], or a
+    /// `None` recorder as the platform does with telemetry disabled, to
+    /// trace nothing.
     fn sample_into_traced(
         &mut self,
         soc: &mut Soc,

@@ -127,23 +127,11 @@ impl ResponseManager {
         self.isolated.iter().copied()
     }
 
-    /// Executes a full plan in order. Execution continues past failures —
-    /// a failed rollback must not prevent network quarantine.
+    /// Executes a full plan in order, recording one `respond` span per
+    /// action into `sink` (arg = 1 on success, cycles = the action's
+    /// modelled execution cost). Execution continues past failures — a
+    /// failed rollback must not prevent network quarantine.
     pub fn execute_plan(
-        &mut self,
-        plan: &ResponsePlan,
-        now: SimTime,
-        soc: &mut Soc,
-        backend: &mut dyn RecoveryBackend,
-    ) -> Vec<ExecutedAction> {
-        let mut sink = cres_sim::NullSink;
-        self.execute_plan_traced(plan, now, soc, backend, &mut sink)
-    }
-
-    /// [`ResponseManager::execute_plan`] with telemetry: records one
-    /// `respond` span per action (arg = 1 on success, cycles = the action's
-    /// modelled execution cost).
-    pub fn execute_plan_traced(
         &mut self,
         plan: &ResponsePlan,
         now: SimTime,
@@ -413,6 +401,7 @@ impl ResponseManager {
 mod tests {
     use super::*;
     use crate::backend::NullRecoveryBackend;
+    use cres_sim::NullSink;
     use cres_soc::addr::Addr;
     use cres_soc::periph::{Actuator, Sensor};
     use cres_soc::soc::{layout, SocBuilder};
@@ -750,7 +739,7 @@ mod tests {
                 ResponseAction::QuarantineNetwork,
             ],
         };
-        let results = m.execute_plan(&plan, t0(), &mut soc, &mut FailingBackend);
+        let results = m.execute_plan(&plan, t0(), &mut soc, &mut FailingBackend, &mut NullSink);
         assert_eq!(results.len(), 2);
         assert!(!results[0].outcome.is_success());
         assert!(results[1].outcome.is_success());

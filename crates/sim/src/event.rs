@@ -1,41 +1,33 @@
-//! The discrete-event scheduler.
+//! The discrete-event queue.
 //!
-//! [`Simulator<W>`] owns the simulated clock and a priority queue of pending
-//! events. An event is a boxed `FnOnce(&mut W, &mut Simulator<W>)`: it
-//! mutates the world and may schedule follow-up events. Events at the same
-//! instant fire in schedule order, which keeps runs bit-reproducible.
+//! [`EventQueue<E>`] owns the simulated clock and a priority queue of
+//! pending events. An event is plain data of the caller's type `E`: the
+//! caller pops it, dispatches it against its own world and schedules any
+//! follow-ups. Events at the same instant pop in schedule order, which
+//! keeps runs bit-reproducible.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::fmt;
 
-/// Opaque handle identifying a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
-
-type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Simulator<W>)>;
-
-struct Scheduled<W> {
+struct Scheduled<E> {
     at: SimTime,
     seq: u64,
-    id: EventId,
-    action: Option<EventFn<W>>,
-    label: &'static str,
+    event: E,
 }
 
-impl<W> PartialEq for Scheduled<W> {
+impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<W> Eq for Scheduled<W> {}
-impl<W> PartialOrd for Scheduled<W> {
+impl<E> Eq for Scheduled<E> {}
+impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<W> Ord for Scheduled<W> {
+impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest event pops first,
         // with the lower sequence number winning ties.
@@ -46,315 +38,132 @@ impl<W> Ord for Scheduled<W> {
     }
 }
 
-/// A discrete-event simulator over a world type `W`.
-///
-/// The simulator does not own the world; callers pass `&mut W` into
-/// [`Simulator::step`] / [`Simulator::run_until`] so the world can also be
-/// inspected between steps.
-pub struct Simulator<W> {
+/// A time-ordered queue of events of type `E`, with the simulated clock.
+pub struct EventQueue<E> {
     now: SimTime,
-    queue: BinaryHeap<Scheduled<W>>,
+    heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
-    fired: u64,
-    cancelled: Vec<EventId>,
 }
 
-impl<W> fmt::Debug for Simulator<W> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Simulator")
-            .field("now", &self.now)
-            .field("pending", &self.queue.len())
-            .field("fired", &self.fired)
-            .finish()
-    }
-}
-
-impl<W> Default for Simulator<W> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<W> Simulator<W> {
-    /// Creates an empty simulator at time zero.
+impl<E> EventQueue<E> {
+    /// Creates an empty queue at time zero.
     pub fn new() -> Self {
-        Simulator {
+        EventQueue {
             now: SimTime::ZERO,
-            queue: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
             next_seq: 0,
-            fired: 0,
-            cancelled: Vec::new(),
         }
     }
 
-    /// The current simulated instant.
+    /// The current simulated instant: the time of the last popped event.
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Number of events fired so far.
-    pub fn events_fired(&self) -> u64 {
-        self.fired
-    }
-
-    /// Number of events currently pending (including cancelled ones not yet
-    /// reaped).
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Schedules `action` to fire at absolute time `at`.
+    /// Schedules `event` to pop at absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        action: impl FnOnce(&mut W, &mut Simulator<W>) + 'static,
-    ) -> EventId {
-        self.schedule_labeled(at, "event", action)
-    }
-
-    /// Schedules `action` to fire after `delay`.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        action: impl FnOnce(&mut W, &mut Simulator<W>) + 'static,
-    ) -> EventId {
-        self.schedule_at(self.now + delay, action)
-    }
-
-    /// Schedules `action` with a static label (visible in panics/debugging).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_labeled(
-        &mut self,
-        at: SimTime,
-        label: &'static str,
-        action: impl FnOnce(&mut W, &mut Simulator<W>) + 'static,
-    ) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
-            "cannot schedule event {label:?} in the past ({at} < {})",
+            "cannot schedule an event in the past ({at} < {})",
             self.now
         );
-        let id = EventId(self.next_seq);
-        self.queue.push(Scheduled {
+        self.heap.push(Scheduled {
             at,
             seq: self.next_seq,
-            id,
-            action: Some(Box::new(action)),
-            label,
+            event,
         });
         self.next_seq += 1;
-        id
     }
 
-    /// Cancels a pending event. Cancelling an already-fired or unknown event
-    /// is a no-op.
-    pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.push(id);
-    }
-
-    /// Schedules a periodic event firing every `period`, starting after one
-    /// period. The callback returns `true` to keep the series running.
-    pub fn schedule_periodic(
-        &mut self,
-        period: SimDuration,
-        mut action: impl FnMut(&mut W, &mut Simulator<W>) -> bool + 'static,
-    ) {
-        assert!(!period.is_zero(), "periodic events need a non-zero period");
-        fn rearm<W>(
-            sim: &mut Simulator<W>,
-            period: SimDuration,
-            mut action: impl FnMut(&mut W, &mut Simulator<W>) -> bool + 'static,
-        ) {
-            sim.schedule_labeled(sim.now + period, "periodic", move |w, sim| {
-                if action(w, sim) {
-                    rearm(sim, period, action);
-                }
-            });
+    /// Pops the earliest pending event and advances the clock to it, or
+    /// returns `None` when the queue is empty or its next event lies after
+    /// `horizon`. Events exactly at the horizon do pop.
+    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+        if self.heap.peek()?.at > horizon {
+            return None;
         }
-        rearm(self, period, move |w, sim| action(w, sim));
-    }
-
-    /// Fires the next pending event, advancing the clock to its timestamp.
-    ///
-    /// Returns `false` when the queue is empty.
-    pub fn step(&mut self, world: &mut W) -> bool {
-        loop {
-            let Some(mut ev) = self.queue.pop() else {
-                return false;
-            };
-            if let Some(pos) = self.cancelled.iter().position(|c| *c == ev.id) {
-                self.cancelled.swap_remove(pos);
-                continue;
-            }
-            debug_assert!(
-                ev.at >= self.now,
-                "event queue went backwards at {:?}",
-                ev.label
-            );
-            self.now = ev.at;
-            self.fired += 1;
-            let action = ev
-                .action
-                .take()
-                .unwrap_or_else(|| panic!("event {:?} fired twice", ev.label));
-            action(world, self);
-            return true;
-        }
-    }
-
-    /// Runs events until the queue is empty or the clock would pass
-    /// `horizon`. Events exactly at the horizon do fire. Returns the number
-    /// of events fired. The clock is left at the later of its current value
-    /// and the horizon (when the queue drained early it stays where it was).
-    pub fn run_until(&mut self, world: &mut W, horizon: SimTime) -> u64 {
-        let before = self.fired;
-        while let Some(head) = self.queue.peek() {
-            if head.at > horizon {
-                break;
-            }
-            self.step(world);
-        }
-        if self.now < horizon && !self.queue.is_empty() {
-            self.now = horizon;
-        }
-        self.fired - before
-    }
-
-    /// Runs the simulation to exhaustion (or until `max_events` fire, as a
-    /// runaway guard). Returns the number of events fired.
-    pub fn run_to_completion(&mut self, world: &mut W, max_events: u64) -> u64 {
-        let before = self.fired;
-        while self.fired - before < max_events {
-            if !self.step(world) {
-                break;
-            }
-        }
-        self.fired - before
+        let Scheduled { at, event, .. } = self.heap.pop()?;
+        self.now = at;
+        Some((at, event))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
-    #[test]
-    fn events_fire_in_time_order() {
-        let mut sim: Simulator<Vec<u32>> = Simulator::new();
-        sim.schedule_at(SimTime::at_cycle(30), |w, _| w.push(3));
-        sim.schedule_at(SimTime::at_cycle(10), |w, _| w.push(1));
-        sim.schedule_at(SimTime::at_cycle(20), |w, _| w.push(2));
-        let mut world = Vec::new();
-        sim.run_to_completion(&mut world, 100);
-        assert_eq!(world, vec![1, 2, 3]);
-        assert_eq!(sim.now(), SimTime::at_cycle(30));
+    fn drain<E>(queue: &mut EventQueue<E>) -> Vec<E> {
+        std::iter::from_fn(|| queue.pop_until(SimTime::MAX))
+            .map(|(_, e)| e)
+            .collect()
     }
 
     #[test]
-    fn simultaneous_events_fire_in_schedule_order() {
-        let mut sim: Simulator<Vec<u32>> = Simulator::new();
+    fn events_pop_in_time_order() {
+        let mut queue = EventQueue::new();
+        queue.schedule(SimTime::at_cycle(30), 3);
+        queue.schedule(SimTime::at_cycle(10), 1);
+        queue.schedule(SimTime::at_cycle(20), 2);
+        assert_eq!(drain(&mut queue), vec![1, 2, 3]);
+        assert_eq!(queue.now(), SimTime::at_cycle(30));
+    }
+
+    #[test]
+    fn simultaneous_events_pop_in_schedule_order() {
+        let mut queue = EventQueue::new();
         for i in 0..50 {
-            sim.schedule_at(SimTime::at_cycle(5), move |w, _| w.push(i));
+            queue.schedule(SimTime::at_cycle(5), i);
         }
-        let mut world = Vec::new();
-        sim.run_to_completion(&mut world, 100);
-        assert_eq!(world, (0..50).collect::<Vec<_>>());
+        assert_eq!(drain(&mut queue), (0..50).collect::<Vec<_>>());
     }
 
     #[test]
-    fn events_can_schedule_followups() {
-        let mut sim: Simulator<u64> = Simulator::new();
-        sim.schedule_in(SimDuration::cycles(1), |w, sim| {
-            *w += 1;
-            sim.schedule_in(SimDuration::cycles(1), |w, sim| {
-                *w += 10;
-                sim.schedule_in(SimDuration::cycles(1), |w, _| *w += 100);
-            });
-        });
-        let mut world = 0;
-        sim.run_to_completion(&mut world, 100);
-        assert_eq!(world, 111);
-        assert_eq!(sim.now(), SimTime::at_cycle(3));
+    fn popped_events_can_schedule_followups() {
+        let mut queue = EventQueue::new();
+        queue.schedule(SimTime::at_cycle(1), 1u64);
+        let mut total = 0;
+        while let Some((at, value)) = queue.pop_until(SimTime::MAX) {
+            total += value;
+            if value < 100 {
+                queue.schedule(at + SimDuration::cycles(1), value * 10);
+            }
+        }
+        assert_eq!(total, 111);
+        assert_eq!(queue.now(), SimTime::at_cycle(3));
     }
 
     #[test]
-    fn run_until_respects_horizon() {
-        let mut sim: Simulator<u64> = Simulator::new();
-        sim.schedule_at(SimTime::at_cycle(10), |w, _| *w += 1);
-        sim.schedule_at(SimTime::at_cycle(20), |w, _| *w += 1);
-        sim.schedule_at(SimTime::at_cycle(30), |w, _| *w += 1);
-        let mut world = 0;
-        let fired = sim.run_until(&mut world, SimTime::at_cycle(20));
-        assert_eq!(fired, 2);
-        assert_eq!(world, 2);
-        assert_eq!(sim.now(), SimTime::at_cycle(20));
-        sim.run_until(&mut world, SimTime::at_cycle(100));
-        assert_eq!(world, 3);
-    }
-
-    #[test]
-    fn cancelled_events_do_not_fire() {
-        let mut sim: Simulator<u64> = Simulator::new();
-        let id = sim.schedule_at(SimTime::at_cycle(10), |w, _| *w += 1);
-        sim.schedule_at(SimTime::at_cycle(20), |w, _| *w += 100);
-        sim.cancel(id);
-        let mut world = 0;
-        sim.run_to_completion(&mut world, 100);
-        assert_eq!(world, 100);
-    }
-
-    #[test]
-    fn cancel_unknown_is_noop() {
-        let mut sim: Simulator<u64> = Simulator::new();
-        sim.cancel(EventId(999));
-        let mut world = 0;
-        assert!(!sim.step(&mut world));
-    }
-
-    #[test]
-    fn periodic_runs_until_false() {
-        let mut sim: Simulator<u64> = Simulator::new();
-        sim.schedule_periodic(SimDuration::cycles(10), |w, _| {
-            *w += 1;
-            *w < 5
-        });
-        let mut world = 0;
-        sim.run_to_completion(&mut world, 1000);
-        assert_eq!(world, 5);
-        assert_eq!(sim.now(), SimTime::at_cycle(50));
+    fn pop_until_respects_horizon() {
+        let mut queue = EventQueue::new();
+        for cycle in [10, 20, 30] {
+            queue.schedule(SimTime::at_cycle(cycle), cycle);
+        }
+        let horizon = SimTime::at_cycle(20);
+        let popped: Vec<u64> = std::iter::from_fn(|| queue.pop_until(horizon))
+            .map(|(_, e)| e)
+            .collect();
+        assert_eq!(popped, vec![10, 20]);
+        assert_eq!(queue.now(), SimTime::at_cycle(20));
+        assert_eq!(drain(&mut queue), vec![30]);
     }
 
     #[test]
     #[should_panic(expected = "in the past")]
     fn scheduling_in_the_past_panics() {
-        let mut sim: Simulator<u64> = Simulator::new();
-        sim.schedule_at(SimTime::at_cycle(10), |_, _| {});
-        let mut world = 0;
-        sim.step(&mut world);
-        sim.schedule_at(SimTime::at_cycle(5), |_, _| {});
-    }
-
-    #[test]
-    fn runaway_guard_stops_infinite_series() {
-        let mut sim: Simulator<u64> = Simulator::new();
-        sim.schedule_periodic(SimDuration::cycles(1), |w, _| {
-            *w += 1;
-            true
-        });
-        let mut world = 0;
-        let fired = sim.run_to_completion(&mut world, 500);
-        assert_eq!(fired, 500);
-    }
-
-    #[test]
-    fn debug_output_is_nonempty() {
-        let sim: Simulator<u64> = Simulator::new();
-        assert!(format!("{sim:?}").contains("Simulator"));
+        let mut queue = EventQueue::new();
+        queue.schedule(SimTime::at_cycle(10), ());
+        queue.pop_until(SimTime::MAX);
+        queue.schedule(SimTime::at_cycle(5), ());
     }
 }

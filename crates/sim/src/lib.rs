@@ -7,7 +7,8 @@
 //! system security manager — runs on top of this kernel. The kernel provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a cycle-granular simulated clock,
-//! * [`Simulator`] — an event queue with deterministic FIFO tie-breaking,
+//! * [`EventQueue`] — a time-ordered queue of plain-data events with
+//!   deterministic FIFO tie-breaking; the caller pops and dispatches them,
 //! * [`DetRng`] — a seedable, forkable deterministic random number generator
 //!   (xoshiro256** seeded via SplitMix64),
 //! * [`stage`] — the pipeline-stage vocabulary ([`Stage`], [`StageSink`])
@@ -18,23 +19,25 @@
 //! # Determinism
 //!
 //! Reproducibility of every experiment in the paper harness rests on two
-//! properties enforced here: events scheduled for the same instant fire in
+//! properties enforced here: events scheduled for the same instant pop in
 //! schedule order (a monotone sequence number breaks ties), and all
 //! randomness flows from [`DetRng`] streams forked from a single seed.
 //!
 //! # Example
 //!
 //! ```
-//! use cres_sim::{Simulator, SimTime, SimDuration};
+//! use cres_sim::{EventQueue, SimDuration, SimTime};
 //!
-//! let mut sim: Simulator<u64> = Simulator::new();
-//! sim.schedule_in(SimDuration::cycles(10), |world, sim| {
-//!     *world += 1;
-//!     // events may schedule follow-ups
-//!     sim.schedule_in(SimDuration::cycles(5), |world, _| *world += 10);
-//! });
+//! let mut queue = EventQueue::new();
+//! queue.schedule(SimTime::at_cycle(10), 1u64);
 //! let mut world = 0u64;
-//! sim.run_until(&mut world, SimTime::at_cycle(100));
+//! while let Some((now, event)) = queue.pop_until(SimTime::at_cycle(100)) {
+//!     world += event;
+//!     if event == 1 {
+//!         // dispatching an event may schedule follow-ups
+//!         queue.schedule(now + SimDuration::cycles(5), 10);
+//!     }
+//! }
 //! assert_eq!(world, 11);
 //! ```
 
@@ -44,7 +47,7 @@ pub mod rng;
 pub mod stage;
 pub mod time;
 
-pub use event::{EventId, Simulator};
+pub use event::EventQueue;
 pub use intern::{MonitorId, MonitorRegistry};
 pub use rng::DetRng;
 pub use stage::{fault_code, policy_code, NullSink, Stage, StageSink};

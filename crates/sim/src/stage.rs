@@ -9,7 +9,10 @@
 //! * [`Stage`] — the pipeline stage IDs (including the fault-plane
 //!   meta-stage for faults injected into the pipeline itself),
 //! * [`StageSink`] — the receiver instrumented code reports spans to,
-//! * [`NullSink`] — the zero-cost sink used when telemetry is disabled.
+//! * [`NullSink`] — the zero-cost sink that discards every span,
+//! * `Option<S>` — a sink that records into `S` only when present, so an
+//!   optional recorder (`None` when telemetry is disabled) is itself the
+//!   sink.
 //!
 //! The concrete recorder (trace ring buffer + metrics registry) lives in
 //! `cres_platform::telemetry`; this crate only hosts the vocabulary so the
@@ -185,6 +188,16 @@ pub struct NullSink;
 impl StageSink for NullSink {
     #[inline]
     fn record_span(&mut self, _at: SimTime, _stage: Stage, _arg: u32, _cycles: u64) {}
+}
+
+/// An optional recorder is a sink: `Some` records, `None` discards.
+impl<S: StageSink> StageSink for Option<S> {
+    #[inline]
+    fn record_span(&mut self, at: SimTime, stage: Stage, arg: u32, cycles: u64) {
+        if let Some(sink) = self {
+            sink.record_span(at, stage, arg, cycles);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,42 @@
-//! Property tests for the simulation kernel: event ordering, RNG bounds,
-//! time arithmetic and the monitor-name interner.
+//! Property tests for the simulation kernel: event ordering (including a
+//! differential check against a naive reference queue), RNG bounds, time
+//! arithmetic and the monitor-name interner.
 
-use cres_sim::{DetRng, MonitorId, MonitorRegistry, SimDuration, SimTime, Simulator};
+use cres_sim::{DetRng, EventQueue, MonitorId, MonitorRegistry, SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// Length of the fan-out and delay tables that drive follow-up scheduling.
+const TABLE: usize = 16;
+
+/// Cap on events per differential case, so fan-out cannot run away.
+const MAX_EVENTS: usize = 2_000;
+
+/// The reference queue: a `Vec` scanned for the minimum `(at, seq)`.
+#[derive(Default)]
+struct ReferenceQueue {
+    pending: Vec<(SimTime, u64, usize)>,
+    next_seq: u64,
+}
+
+impl ReferenceQueue {
+    fn schedule(&mut self, at: SimTime, event: usize) {
+        self.pending.push((at, self.next_seq, event));
+        self.next_seq += 1;
+    }
+
+    fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, usize)> {
+        let (next, &(at, _, event)) = self
+            .pending
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &(at, seq, _))| (at, seq))?;
+        if at > horizon {
+            return None;
+        }
+        self.pending.swap_remove(next);
+        Some((at, event))
+    }
+}
 
 /// Name pool for interner properties — interning requires `&'static str`,
 /// so properties draw indices into a fixed pool rather than free strings.
@@ -25,46 +59,83 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn events_fire_in_nondecreasing_time_order(times in proptest::collection::vec(0u64..10_000, 1..100)) {
-        let mut sim: Simulator<Vec<u64>> = Simulator::new();
+    fn events_pop_in_nondecreasing_time_order(times in proptest::collection::vec(0u64..10_000, 1..100)) {
+        let mut queue = EventQueue::new();
         for &t in &times {
-            sim.schedule_at(SimTime::at_cycle(t), move |w: &mut Vec<u64>, sim| {
-                w.push(sim.now().cycle());
-            });
+            queue.schedule(SimTime::at_cycle(t), t);
         }
-        let mut world = Vec::new();
-        sim.run_to_completion(&mut world, 10_000);
-        prop_assert_eq!(world.len(), times.len());
-        prop_assert!(world.windows(2).all(|w| w[0] <= w[1]), "{world:?}");
+        let mut popped = Vec::new();
+        while let Some((at, t)) = queue.pop_until(SimTime::MAX) {
+            prop_assert_eq!(at.cycle(), t);
+            popped.push(t);
+        }
+        prop_assert_eq!(popped.len(), times.len());
+        prop_assert!(popped.windows(2).all(|w| w[0] <= w[1]), "{popped:?}");
     }
 
     #[test]
-    fn equal_time_events_fire_in_schedule_order(n in 1usize..60) {
-        let mut sim: Simulator<Vec<usize>> = Simulator::new();
+    fn equal_time_events_pop_in_schedule_order(n in 1usize..60) {
+        let mut queue = EventQueue::new();
         for i in 0..n {
-            sim.schedule_at(SimTime::at_cycle(42), move |w: &mut Vec<usize>, _| w.push(i));
+            queue.schedule(SimTime::at_cycle(42), i);
         }
-        let mut world = Vec::new();
-        sim.run_to_completion(&mut world, 1_000);
-        prop_assert_eq!(world, (0..n).collect::<Vec<_>>());
+        let popped: Vec<usize> = std::iter::from_fn(|| queue.pop_until(SimTime::MAX))
+            .map(|(_, i)| i)
+            .collect();
+        prop_assert_eq!(popped, (0..n).collect::<Vec<_>>());
     }
 
     #[test]
-    fn run_until_never_fires_past_horizon(
+    fn pop_until_never_pops_past_horizon(
         times in proptest::collection::vec(0u64..10_000, 1..50),
         horizon in 0u64..10_000
     ) {
-        let mut sim: Simulator<Vec<u64>> = Simulator::new();
+        let mut queue = EventQueue::new();
         for &t in &times {
-            sim.schedule_at(SimTime::at_cycle(t), move |w: &mut Vec<u64>, sim| {
-                w.push(sim.now().cycle());
-            });
+            queue.schedule(SimTime::at_cycle(t), t);
         }
-        let mut world = Vec::new();
-        sim.run_until(&mut world, SimTime::at_cycle(horizon));
-        prop_assert!(world.iter().all(|&t| t <= horizon));
+        let popped: Vec<u64> = std::iter::from_fn(|| queue.pop_until(SimTime::at_cycle(horizon)))
+            .map(|(_, t)| t)
+            .collect();
+        prop_assert!(popped.iter().all(|&t| t <= horizon));
         let expected = times.iter().filter(|&&t| t <= horizon).count();
-        prop_assert_eq!(world.len(), expected);
+        prop_assert_eq!(popped.len(), expected);
+    }
+
+    #[test]
+    fn queue_pops_like_the_naive_reference(
+        starts in proptest::collection::vec(0u64..64, 1..24),
+        fanout in proptest::collection::vec(0usize..3, TABLE),
+        delays in proptest::collection::vec(0u64..40, TABLE),
+        horizon in 0u64..2_000
+    ) {
+        let horizon = SimTime::at_cycle(horizon);
+        let mut queue = EventQueue::new();
+        let mut reference = ReferenceQueue::default();
+        for (id, &start) in starts.iter().enumerate() {
+            queue.schedule(SimTime::at_cycle(start), id);
+            reference.schedule(SimTime::at_cycle(start), id);
+        }
+        let mut next_id = starts.len();
+        loop {
+            let popped = queue.pop_until(horizon);
+            prop_assert_eq!(popped, reference.pop_until(horizon));
+            let Some((at, id)) = popped else {
+                break;
+            };
+            prop_assert_eq!(queue.now(), at);
+            // Fan out from a table indexed by the event id; zero delays
+            // land on the popping instant and tie with what is pending.
+            for k in 0..fanout[id % TABLE] {
+                if next_id >= MAX_EVENTS {
+                    break;
+                }
+                let follow_up = at + SimDuration::cycles(delays[(id + k) % TABLE]);
+                queue.schedule(follow_up, next_id);
+                reference.schedule(follow_up, next_id);
+                next_id += 1;
+            }
+        }
     }
 
     #[test]

@@ -43,8 +43,8 @@ fn main() {
                 }
             }
         }
-        let events = p.sample_monitors(*now);
-        p.ingest_and_respond(*now, events);
+        p.sample_monitors_buffered(*now);
+        p.ingest_sampled(*now);
         *now += SimDuration::cycles(10_000);
     };
 

@@ -63,8 +63,8 @@ fn main() {
             now += d;
         }
     }
-    let events = platform.sample_monitors(now);
-    platform.ingest_and_respond(now, events);
+    platform.sample_monitors_buffered(now);
+    platform.ingest_sampled(now);
 
     let key = platform.evidence_key().to_vec();
     let breach = BreachReport::generate(&key, platform.ssm.evidence().records());

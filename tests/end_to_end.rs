@@ -124,8 +124,8 @@ fn breach_report_from_run_verifies_and_renders() {
             now += d;
         }
     }
-    let events = p.sample_monitors(now);
-    p.ingest_and_respond(now, events);
+    p.sample_monitors_buffered(now);
+    p.ingest_sampled(now);
 
     let key = p.evidence_key().to_vec();
     let report = BreachReport::generate(&key, p.ssm.evidence().records());

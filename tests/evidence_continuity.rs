@@ -114,8 +114,8 @@ fn forensic_report_from_scenario_chain_is_self_consistent() {
     }
     p.attack_step(probe, now);
     now += SimDuration::cycles(5_000);
-    let events = p.sample_monitors(now);
-    p.ingest_and_respond(now, events);
+    p.sample_monitors_buffered(now);
+    p.ingest_sampled(now);
 
     let key = p.evidence_key().to_vec();
     let report = BreachReport::generate(&key, p.ssm.evidence().records());
