@@ -450,12 +450,12 @@ fn enforce_gates(results: &[BenchResult]) {
         }
     }
     // The campaign-wall ratchet, matching `alloc_campaign`: a warm pooled
-    // 100k-cycle slice must never pay re-provisioning (~600k allocs) or a
-    // boxed closure per scheduled event again.
+    // 100k-cycle slice must never pay re-provisioning (~600k allocs), a
+    // boxed closure per scheduled event or an allocating task step again.
     let slice = get("platform_slice_100k");
-    if slice.allocs_per_iter > 25_000.0 {
+    if slice.allocs_per_iter > 1_000.0 {
         failures.push(format!(
-            "platform_slice_100k: {:.0} allocs/iter (ceiling 25000; pooling or the event queue regressed)",
+            "platform_slice_100k: {:.0} allocs/iter (ceiling 1000; pooling, the event queue or the task step regressed)",
             slice.allocs_per_iter
         ));
     }

@@ -626,15 +626,16 @@ impl Platform {
         let out = self.soc.step_task(id, now)?;
         if self.config.active_monitors() {
             self.cfi.report_edge(now, id, out.edge);
-            self.syscall_mon.report_syscalls(now, id, &out.syscalls);
+            self.syscall_mon.report_syscalls(now, id, out.syscalls);
         }
+        let next_delay = out.next_delay;
         if let Some(task) = self.soc.task(id) {
             if task.criticality() == Criticality::Critical {
                 self.soc.watchdog.kick(now);
                 self.critical_steps += 1;
             }
         }
-        Some(out.next_delay)
+        Some(next_delay)
     }
 
     /// Samples every monitor into the platform's reusable event buffer,
@@ -932,7 +933,7 @@ impl Platform {
             for &id in &ids {
                 if let Some(out) = self.soc.step_task(id, SimTime::ZERO) {
                     self.syscall_mon
-                        .report_syscalls(SimTime::ZERO, id, &out.syscalls);
+                        .report_syscalls(SimTime::ZERO, id, out.syscalls);
                 }
             }
         }

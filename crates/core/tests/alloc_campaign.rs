@@ -27,10 +27,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Hard ceiling for one warm pooled 100k-cycle run. Headroom over the
-/// measured count (22,560 in release, 22,581 in the test profile) without
-/// letting re-provisioning (~600k), wholesale buffer rebuilds or a boxed
-/// closure per scheduled event (26,441 with one) sneak back in.
-const POOLED_RUN_ALLOC_CEILING: u64 = 25_000;
+/// measured count (513 in both the release and the test profile) without
+/// letting re-provisioning (~600k), wholesale buffer rebuilds, a boxed
+/// closure per scheduled event or an allocating task step (22,560 with a
+/// cloned block and a write buffer per step) sneak back in.
+const POOLED_RUN_ALLOC_CEILING: u64 = 1_000;
 
 struct CountingAlloc;
 

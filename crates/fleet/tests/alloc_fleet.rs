@@ -13,11 +13,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Hard per-device ceiling for a warm shard (60k-cycle device). Measured:
-/// 13,947 in release and 13,927 in the test profile, spec forking and a
+/// 587 in both the release and the test profile, spec forking and a
 /// summary included (see `alloc_campaign` in cres-platform for the pooled
-/// run alone). A boxed closure per scheduled event would cost 16,244;
-/// re-provisioning alone would blow through this 40x over.
-const WARM_DEVICE_ALLOC_CEILING: u64 = 15_000;
+/// run alone). A cloned block and a write buffer per task step cost
+/// 13,947; re-provisioning alone would blow through this 500x over.
+const WARM_DEVICE_ALLOC_CEILING: u64 = 1_000;
 
 struct CountingAlloc;
 

@@ -13,7 +13,7 @@ use cres_policy::DetectionCapability;
 use cres_sim::SimTime;
 use cres_soc::task::{BlockId, Syscall, TaskId};
 use cres_soc::Soc;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Control-flow integrity over per-task basic-block edge sets.
 ///
@@ -22,7 +22,9 @@ use std::collections::{HashMap, HashSet};
 /// runtime edge check.
 #[derive(Debug, Clone, Default)]
 pub struct CfiMonitor {
-    edge_sets: HashMap<TaskId, HashSet<(BlockId, BlockId)>>,
+    /// Each provisioned task's legal edges, sorted for binary search. A
+    /// platform runs a handful of tasks, so the task lookup scans.
+    edge_sets: Vec<(TaskId, Vec<(BlockId, BlockId)>)>,
     pending: Vec<MonitorEvent>,
     violations: u64,
     edges_checked: u64,
@@ -37,12 +39,17 @@ impl CfiMonitor {
 
     /// Registers the legal edge set for a task.
     pub fn provision(&mut self, task: TaskId, edges: HashSet<(BlockId, BlockId)>) {
-        self.edge_sets.insert(task, edges);
+        let mut edges: Vec<_> = edges.into_iter().collect();
+        edges.sort_unstable();
+        match self.edge_sets.iter_mut().find(|(t, _)| *t == task) {
+            Some((_, set)) => *set = edges,
+            None => self.edge_sets.push((task, edges)),
+        }
     }
 
     /// True when a task has been provisioned.
     pub fn is_provisioned(&self, task: TaskId) -> bool {
-        self.edge_sets.contains_key(&task)
+        self.edge_sets.iter().any(|(t, _)| *t == task)
     }
 
     /// Reports one executed edge. An edge outside the provisioned set (or
@@ -51,8 +58,9 @@ impl CfiMonitor {
         self.edges_checked += 1;
         let legal = self
             .edge_sets
-            .get(&task)
-            .is_some_and(|set| set.contains(&edge));
+            .iter()
+            .find(|(t, _)| *t == task)
+            .is_some_and(|(_, set)| set.binary_search(&edge).is_ok());
         if !legal {
             self.violations += 1;
             self.pending.push(MonitorEvent::new(
@@ -98,6 +106,28 @@ impl ResourceMonitor for CfiMonitor {
     }
 }
 
+// Every bigram is one bit of a `u128`, and every deny-listed kind one bit
+// of a `u16`.
+const _: () = assert!(
+    Syscall::ALL.len() * Syscall::ALL.len() <= u128::BITS as usize
+        && Syscall::ALL.len() <= u16::BITS as usize
+);
+
+/// The bit of a task's bigram set that stands for `prev` then `call`.
+fn bigram_bit(prev: Syscall, call: Syscall) -> u128 {
+    1 << (prev.index() * Syscall::ALL.len() + call.index())
+}
+
+/// What the syscall monitor knows about one task.
+#[derive(Debug, Clone, Copy)]
+struct TaskSyscalls {
+    task: TaskId,
+    /// The task's last syscall that was not deny-listed.
+    last: Option<Syscall>,
+    /// Learned bigrams, one [`bigram_bit`] each.
+    bigrams: u128,
+}
+
 /// Syscall-sequence anomaly detection via learned bigrams.
 ///
 /// In training mode the monitor learns the set of observed syscall bigrams
@@ -105,9 +135,10 @@ impl ResourceMonitor for CfiMonitor {
 /// or any syscall from the deny list raises an event.
 #[derive(Debug, Clone, Default)]
 pub struct SyscallMonitor {
-    bigrams: HashMap<TaskId, HashSet<(Syscall, Syscall)>>,
-    last: HashMap<TaskId, Syscall>,
-    deny: HashSet<Syscall>,
+    /// Per-task state, in first-report order; lookups scan.
+    tasks: Vec<TaskSyscalls>,
+    /// Deny-listed kinds, bit [`Syscall::index`] each.
+    deny: u16,
     training: bool,
     pending: Vec<MonitorEvent>,
     anomalies: u64,
@@ -118,9 +149,10 @@ impl SyscallMonitor {
     /// during training (e.g. [`Syscall::PrivEscalate`] is never benign).
     pub fn new(deny: impl IntoIterator<Item = Syscall>) -> Self {
         SyscallMonitor {
-            bigrams: HashMap::new(),
-            last: HashMap::new(),
-            deny: deny.into_iter().collect(),
+            tasks: Vec::new(),
+            deny: deny
+                .into_iter()
+                .fold(0, |mask, call| mask | (1 << call.index())),
             training: true,
             pending: Vec::new(),
             anomalies: 0,
@@ -139,13 +171,30 @@ impl SyscallMonitor {
 
     /// Number of learned bigrams for a task.
     pub fn learned_bigrams(&self, task: TaskId) -> usize {
-        self.bigrams.get(&task).map_or(0, HashSet::len)
+        self.tasks
+            .iter()
+            .find(|t| t.task == task)
+            .map_or(0, |t| t.bigrams.count_ones() as usize)
     }
 
     /// Reports the syscalls a task issued in one step.
     pub fn report_syscalls(&mut self, now: SimTime, task: TaskId, calls: &[Syscall]) {
+        if calls.is_empty() {
+            return;
+        }
+        let state = match self.tasks.iter().position(|t| t.task == task) {
+            Some(i) => &mut self.tasks[i],
+            None => {
+                self.tasks.push(TaskSyscalls {
+                    task,
+                    last: None,
+                    bigrams: 0,
+                });
+                self.tasks.last_mut().expect("just pushed")
+            }
+        };
         for &call in calls {
-            if self.deny.contains(&call) {
+            if self.deny & (1 << call.index()) != 0 {
                 self.anomalies += 1;
                 self.pending.push(MonitorEvent::new(
                     now,
@@ -156,15 +205,12 @@ impl SyscallMonitor {
                 ));
                 continue;
             }
-            if let Some(&prev) = self.last.get(&task) {
-                let bigram = (prev, call);
+            if let Some(prev) = state.last {
+                let bit = bigram_bit(prev, call);
                 if self.training {
-                    self.bigrams.entry(task).or_default().insert(bigram);
+                    state.bigrams |= bit;
                 } else {
-                    let known = self
-                        .bigrams
-                        .get(&task)
-                        .is_some_and(|set| set.contains(&bigram));
+                    let known = state.bigrams & bit != 0;
                     if !known {
                         self.anomalies += 1;
                         self.pending.push(MonitorEvent::new(
@@ -177,7 +223,7 @@ impl SyscallMonitor {
                     }
                 }
             }
-            self.last.insert(task, call);
+            state.last = Some(call);
         }
     }
 

@@ -128,6 +128,11 @@ impl MasterId {
         }
     }
 
+    /// Dense index of the master: its position in [`MasterId::ALL`].
+    pub(crate) const fn index(self) -> usize {
+        self as usize
+    }
+
     /// True for the application cores (not SSM/DMA/NIC/DEBUG).
     pub fn is_app_core(self) -> bool {
         matches!(
@@ -318,6 +323,9 @@ mod tests {
         assert!(!MasterId::DMA.is_app_core());
         assert_eq!(MasterId::cpu(2), MasterId::CPU2);
         assert_eq!(MasterId::ALL.len(), 8);
+        for (i, m) in MasterId::ALL.into_iter().enumerate() {
+            assert_eq!(m.index(), i);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::addr::{Addr, BusOp, MasterId, RegionId};
 use crate::mem::{MemError, MemoryMap};
 use cres_sim::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Why a bus transaction failed.
@@ -113,8 +113,10 @@ pub struct Bus {
     ring_capacity: usize,
     next_seq: u64,
     evicted: u64,
-    gated: HashSet<MasterId>,
-    stats: HashMap<MasterId, MasterStats>,
+    /// Gate flags, indexed by [`MasterId::index`].
+    gated: [bool; MasterId::ALL.len()],
+    /// Per-master counters, indexed by [`MasterId::index`].
+    stats: [MasterStats; MasterId::ALL.len()],
     /// Fixed per-transaction latency plus per-8-bytes beat cost, in cycles.
     base_latency: u64,
 }
@@ -138,50 +140,50 @@ impl Bus {
             ring_capacity,
             next_seq: 0,
             evicted: 0,
-            gated: HashSet::new(),
-            stats: HashMap::new(),
+            gated: [false; MasterId::ALL.len()],
+            stats: [MasterStats::default(); MasterId::ALL.len()],
             base_latency: 4,
         }
     }
 
     /// Gates `master` off the interconnect (all its transactions fail).
     pub fn gate(&mut self, master: MasterId) {
-        self.gated.insert(master);
+        self.gated[master.index()] = true;
     }
 
     /// Restores a gated master.
     pub fn ungate(&mut self, master: MasterId) {
-        self.gated.remove(&master);
+        self.gated[master.index()] = false;
     }
 
     /// True when `master` is gated.
     pub fn is_gated(&self, master: MasterId) -> bool {
-        self.gated.contains(&master)
+        self.gated[master.index()]
     }
 
-    /// All currently gated masters.
+    /// All currently gated masters, in [`MasterId::ALL`] order.
     pub fn gated_masters(&self) -> impl Iterator<Item = MasterId> + '_ {
-        self.gated.iter().copied()
+        MasterId::ALL.into_iter().filter(|m| self.is_gated(*m))
     }
 
-    /// Performs a checked read through the interconnect.
+    /// Performs a checked read through the interconnect, borrowing the
+    /// bytes from the memory map.
     ///
     /// # Errors
     ///
     /// Returns [`BusError`] when gated or when the MPU rejects the access.
-    pub fn read(
+    pub fn read<'m>(
         &mut self,
         at: SimTime,
         master: MasterId,
         addr: Addr,
         len: u64,
-        mem: &MemoryMap,
-    ) -> Result<Vec<u8>, BusError> {
+        mem: &'m MemoryMap,
+    ) -> Result<&'m [u8], BusError> {
         self.admit(at, master, BusOp::Read, addr, len, mem)?;
-        let data = mem
+        Ok(mem
             .read(master, addr, len)
-            .expect("admitted read must succeed");
-        Ok(data)
+            .expect("admitted read must succeed"))
     }
 
     /// Performs a checked write through the interconnect.
@@ -200,6 +202,27 @@ impl Bus {
         self.admit(at, master, BusOp::Write, addr, data.len() as u64, mem)?;
         mem.write(master, addr, data)
             .expect("admitted write must succeed");
+        Ok(())
+    }
+
+    /// Performs a checked write of `len` copies of `byte`: [`Bus::write`]
+    /// without a source buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BusError`] when gated or when the MPU rejects the access.
+    pub fn fill(
+        &mut self,
+        at: SimTime,
+        master: MasterId,
+        addr: Addr,
+        len: u64,
+        byte: u8,
+        mem: &mut MemoryMap,
+    ) -> Result<(), BusError> {
+        self.admit(at, master, BusOp::Write, addr, len, mem)?;
+        mem.fill(master, addr, len, byte)
+            .expect("admitted fill must succeed");
         Ok(())
     }
 
@@ -231,7 +254,7 @@ impl Bus {
         mem: &MemoryMap,
     ) -> Result<(), BusError> {
         let region = mem.region_at(addr).map(|r| r.id());
-        let result: Result<(), BusError> = if self.gated.contains(&master) {
+        let result: Result<(), BusError> = if self.is_gated(master) {
             Err(BusError::MasterGated(master))
         } else {
             mem.check(master, op, addr, len)
@@ -252,7 +275,7 @@ impl Bus {
             region,
             outcome,
         });
-        let stats = self.stats.entry(master).or_default();
+        let stats = &mut self.stats[master.index()];
         match &result {
             Ok(()) => {
                 stats.granted += 1;
@@ -303,7 +326,7 @@ impl Bus {
 
     /// Aggregate counters for a master.
     pub fn stats(&self, master: MasterId) -> MasterStats {
-        self.stats.get(&master).copied().unwrap_or_default()
+        self.stats[master.index()]
     }
 
     /// Total transactions admitted (granted + denied) since construction.

@@ -8,7 +8,6 @@
 //! manipulate it directly.
 
 use crate::addr::{Addr, AddrRange, BusOp, MasterId, Perms, RegionId};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A contiguous region of backed physical memory.
@@ -85,8 +84,8 @@ impl std::error::Error for MemError {}
 #[derive(Debug, Clone, Default)]
 pub struct MemoryMap {
     regions: Vec<MemoryRegion>,
-    /// Per-(master, region) grants. Missing entry = no access.
-    grants: HashMap<(MasterId, RegionId), Perms>,
+    /// Per-master grants, indexed by region id and then by master.
+    grants: Vec<[Perms; MasterId::ALL.len()]>,
 }
 
 impl MemoryMap {
@@ -120,9 +119,7 @@ impl MemoryMap {
             data: vec![0; len as usize],
             base_perms: perms,
         });
-        for m in MasterId::ALL {
-            self.grants.insert((m, id), perms);
-        }
+        self.grants.push([perms; MasterId::ALL.len()]);
         id
     }
 
@@ -130,29 +127,29 @@ impl MemoryMap {
     /// `master` on `region`.
     pub fn grant(&mut self, master: MasterId, region: RegionId, perms: Perms) {
         let base = self.region(region).base_perms;
-        self.grants.insert((master, region), perms.intersect(base));
+        self.grants[region.0 as usize][master.index()] = perms.intersect(base);
     }
 
     /// Removes all access for `master` on `region`.
     pub fn revoke(&mut self, master: MasterId, region: RegionId) {
-        self.grants.insert((master, region), Perms::NONE);
+        if let Some(row) = self.grants.get_mut(region.0 as usize) {
+            row[master.index()] = Perms::NONE;
+        }
     }
 
     /// Removes all access for `master` on every region (full lockout, used
     /// by the isolation countermeasure).
     pub fn revoke_all(&mut self, master: MasterId) {
-        let ids: Vec<RegionId> = self.regions.iter().map(|r| r.id).collect();
-        for id in ids {
-            self.revoke(master, id);
+        for row in &mut self.grants {
+            row[master.index()] = Perms::NONE;
         }
     }
 
     /// The effective permissions of `master` on `region`.
     pub fn effective_perms(&self, master: MasterId, region: RegionId) -> Perms {
         self.grants
-            .get(&(master, region))
-            .copied()
-            .unwrap_or(Perms::NONE)
+            .get(region.0 as usize)
+            .map_or(Perms::NONE, |row| row[master.index()])
     }
 
     /// Looks up the region containing `addr`.
@@ -203,16 +200,16 @@ impl MemoryMap {
         Ok(region.id)
     }
 
-    /// Performs a checked read.
+    /// Performs a checked read, borrowing the bytes from the map.
     ///
     /// # Errors
     ///
     /// Propagates [`MemError`] from the permission check.
-    pub fn read(&self, master: MasterId, addr: Addr, len: u64) -> Result<Vec<u8>, MemError> {
+    pub fn read(&self, master: MasterId, addr: Addr, len: u64) -> Result<&[u8], MemError> {
         let id = self.check(master, BusOp::Read, addr, len)?;
         let region = self.region(id);
         let off = (addr.0 - region.range.start.0) as usize;
-        Ok(region.data[off..off + len as usize].to_vec())
+        Ok(&region.data[off..off + len as usize])
     }
 
     /// Performs a checked write.
@@ -221,11 +218,38 @@ impl MemoryMap {
     ///
     /// Propagates [`MemError`] from the permission check.
     pub fn write(&mut self, master: MasterId, addr: Addr, data: &[u8]) -> Result<(), MemError> {
-        let id = self.check(master, BusOp::Write, addr, data.len() as u64)?;
+        self.checked_mut(master, addr, data.len() as u64)?
+            .copy_from_slice(data);
+        Ok(())
+    }
+
+    /// Performs a checked write of `len` copies of `byte`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`MemError`] from the permission check.
+    pub fn fill(
+        &mut self,
+        master: MasterId,
+        addr: Addr,
+        len: u64,
+        byte: u8,
+    ) -> Result<(), MemError> {
+        self.checked_mut(master, addr, len)?.fill(byte);
+        Ok(())
+    }
+
+    /// The bytes `[addr, addr+len)` once `master` may write them.
+    fn checked_mut(
+        &mut self,
+        master: MasterId,
+        addr: Addr,
+        len: u64,
+    ) -> Result<&mut [u8], MemError> {
+        let id = self.check(master, BusOp::Write, addr, len)?;
         let region = &mut self.regions[id.0 as usize];
         let off = (addr.0 - region.range.start.0) as usize;
-        region.data[off..off + data.len()].copy_from_slice(data);
-        Ok(())
+        Ok(&mut region.data[off..off + len as usize])
     }
 
     /// Unchecked write used by the boot ROM and attack injectors that model

@@ -63,8 +63,9 @@ impl DmaEngine {
     /// Returns `None` when idle.
     pub fn step(&mut self, now: SimTime, bus: &mut Bus, mem: &mut MemoryMap) -> Option<DmaOutcome> {
         let desc = self.queue.pop_front()?;
+        // the copy is written back into the same map, so it cannot borrow it
         let data = match bus.read(now, MasterId::DMA, desc.src, desc.len, mem) {
-            Ok(d) => d,
+            Ok(d) => d.to_vec(),
             Err(e) => {
                 self.faulted += 1;
                 return Some(DmaOutcome::ReadFault(e));

@@ -15,7 +15,6 @@ use crate::periph::{
 };
 use crate::task::{StepOutcome, Task, TaskId};
 use cres_sim::{DetRng, SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// The standard memory layout used across the workspace.
 pub mod layout {
@@ -69,8 +68,9 @@ pub struct Soc {
     pub dma: DmaEngine,
     /// Interrupt controller.
     pub irq: IrqController,
-    tasks: HashMap<TaskId, Task>,
-    task_core: HashMap<TaskId, usize>,
+    /// Each task with the index of the core it runs on, in insertion
+    /// order; a platform runs a handful, so lookups scan.
+    tasks: Vec<(Task, usize)>,
     rng: DetRng,
 }
 
@@ -83,47 +83,59 @@ impl Soc {
     pub fn add_task(&mut self, task: Task, core_idx: usize) {
         assert!(core_idx < self.cores.len(), "no core {core_idx}");
         assert!(
-            !self.tasks.contains_key(&task.id()),
+            self.task(task.id()).is_none(),
             "duplicate task {}",
             task.id()
         );
         self.cores[core_idx].assign(task.id());
-        self.task_core.insert(task.id(), core_idx);
-        self.tasks.insert(task.id(), task);
+        self.tasks.push((task, core_idx));
+    }
+
+    /// The task with id `id` and its core index.
+    fn entry(&self, id: TaskId) -> Option<&(Task, usize)> {
+        self.tasks.iter().find(|(t, _)| t.id() == id)
     }
 
     /// Looks up a task.
     pub fn task(&self, id: TaskId) -> Option<&Task> {
-        self.tasks.get(&id)
+        self.entry(id).map(|(t, _)| t)
     }
 
     /// Mutable task access (countermeasures and attack injectors).
     pub fn task_mut(&mut self, id: TaskId) -> Option<&mut Task> {
-        self.tasks.get_mut(&id)
+        self.tasks
+            .iter_mut()
+            .find(|(t, _)| t.id() == id)
+            .map(|(t, _)| t)
     }
 
     /// All task ids in insertion-independent sorted order.
     pub fn task_ids(&self) -> Vec<TaskId> {
-        let mut ids: Vec<TaskId> = self.tasks.keys().copied().collect();
+        let mut ids: Vec<TaskId> = self.tasks.iter().map(|(t, _)| t.id()).collect();
         ids.sort();
         ids
     }
 
     /// The core index a task runs on.
     pub fn core_of(&self, id: TaskId) -> Option<usize> {
-        self.task_core.get(&id).copied()
+        self.entry(id).map(|&(_, core)| core)
     }
 
     /// Steps a task: returns `None` when the task or its core cannot run at
     /// `now` (halted, in reset, suspended, killed).
-    pub fn step_task(&mut self, id: TaskId, now: SimTime) -> Option<StepOutcome> {
-        let core_idx = *self.task_core.get(&id)?;
-        if !self.cores[core_idx].is_running(now) {
+    pub fn step_task(&mut self, id: TaskId, now: SimTime) -> Option<StepOutcome<'_>> {
+        let (task, core_idx) = self.tasks.iter_mut().find(|(t, _)| t.id() == id)?;
+        let core = &self.cores[*core_idx];
+        if !core.is_running(now) {
             return None;
         }
-        let master = self.cores[core_idx].master();
-        let task = self.tasks.get_mut(&id)?;
-        task.step(now, master, &mut self.bus, &mut self.mem, &mut self.rng)
+        task.step(
+            now,
+            core.master(),
+            &mut self.bus,
+            &mut self.mem,
+            &mut self.rng,
+        )
     }
 
     /// Reads sensor `idx` at `now` (uses the SoC's deterministic RNG for
@@ -313,8 +325,7 @@ impl SocBuilder {
             otp: OtpFuses::new(),
             dma: DmaEngine::new(),
             irq: IrqController::new(),
-            tasks: HashMap::new(),
-            task_core: HashMap::new(),
+            tasks: Vec::new(),
             rng: DetRng::seed_from(self.seed),
         }
     }

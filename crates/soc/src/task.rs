@@ -12,7 +12,7 @@
 //! equivalent of a code-injection or ROP redirect.
 
 use crate::addr::{Addr, MasterId};
-use crate::bus::{Bus, BusError};
+use crate::bus::Bus;
 use crate::mem::MemoryMap;
 use cres_sim::{DetRng, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -61,6 +61,26 @@ pub enum Syscall {
     PrivEscalate,
     /// Modify firmware / request update.
     FirmwareWrite,
+}
+
+impl Syscall {
+    /// All syscall kinds, in declaration order.
+    pub const ALL: [Syscall; 9] = [
+        Syscall::SensorRead,
+        Syscall::Actuate,
+        Syscall::NetSend,
+        Syscall::NetRecv,
+        Syscall::CryptoOp,
+        Syscall::StorageWrite,
+        Syscall::StorageRead,
+        Syscall::PrivEscalate,
+        Syscall::FirmwareWrite,
+    ];
+
+    /// Dense index of the kind: its position in [`Syscall::ALL`].
+    pub const fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// One basic block of a program.
@@ -221,15 +241,16 @@ pub struct Task {
     hijack: Option<BlockId>,
 }
 
-/// Telemetry produced by one task step.
+/// Telemetry produced by one task step, borrowing from the stepped task.
 #[derive(Debug, Clone)]
-pub struct StepOutcome {
+pub struct StepOutcome<'a> {
     /// The control-flow edge taken `(from, to)`.
     pub edge: (BlockId, BlockId),
     /// Syscalls issued by the block entered.
-    pub syscalls: Vec<Syscall>,
-    /// Bus errors hit while performing the block's accesses.
-    pub denials: Vec<BusError>,
+    pub syscalls: &'a [Syscall],
+    /// Bus accesses of the block that were denied (the tap ring records
+    /// each one with its reason).
+    pub denied: u32,
     /// Compute + bus time until the task should step again.
     pub next_delay: SimDuration,
 }
@@ -322,7 +343,8 @@ impl Task {
     /// Executes one step: transitions to the next block (hijacked or chosen
     /// uniformly among legal successors) and performs that block's fetch,
     /// reads, writes and syscalls through the bus. Returns `None` when the
-    /// task is not running.
+    /// task is not running. Allocation-free: the block is borrowed, reads
+    /// are not copied and writes fill a constant pattern.
     pub fn step(
         &mut self,
         now: SimTime,
@@ -330,7 +352,7 @@ impl Task {
         bus: &mut Bus,
         mem: &mut MemoryMap,
         rng: &mut DetRng,
-    ) -> Option<StepOutcome> {
+    ) -> Option<StepOutcome<'_>> {
         if self.state != TaskState::Running {
             return None;
         }
@@ -348,32 +370,25 @@ impl Task {
         self.current = to;
         self.steps += 1;
 
-        let block = self.program.block(to).clone();
-        let mut denials = Vec::new();
+        let block = self.program.block(to);
+        let mut denied = 0u32;
         let mut bus_cycles = 0u64;
 
-        if let Err(e) = bus.fetch(now, master, block.fetch_addr, 16, mem) {
-            denials.push(e);
-        }
+        denied += u32::from(bus.fetch(now, master, block.fetch_addr, 16, mem).is_err());
         bus_cycles += bus.latency_for(16);
-        for (addr, len) in &block.reads {
-            if let Err(e) = bus.read(now, master, *addr, *len, mem) {
-                denials.push(e);
-            }
-            bus_cycles += bus.latency_for(*len);
+        for &(addr, len) in &block.reads {
+            denied += u32::from(bus.read(now, master, addr, len, mem).is_err());
+            bus_cycles += bus.latency_for(len);
         }
-        for (addr, len) in &block.writes {
-            let data = vec![0xA5u8; *len as usize];
-            if let Err(e) = bus.write(now, master, *addr, &data, mem) {
-                denials.push(e);
-            }
-            bus_cycles += bus.latency_for(*len);
+        for &(addr, len) in &block.writes {
+            denied += u32::from(bus.fill(now, master, addr, len, 0xA5, mem).is_err());
+            bus_cycles += bus.latency_for(len);
         }
 
         Some(StepOutcome {
             edge: (from, to),
-            syscalls: block.syscalls.clone(),
-            denials,
+            syscalls: &block.syscalls,
+            denied,
             next_delay: block.duration + SimDuration::cycles(bus_cycles),
         })
     }
@@ -484,7 +499,7 @@ mod tests {
                 .step(SimTime::ZERO, MasterId::CPU0, &mut bus, &mut mem, &mut rng)
                 .unwrap();
             assert!(edges.contains(&out.edge), "illegal edge {:?}", out.edge);
-            assert!(out.denials.is_empty(), "benign task was denied");
+            assert_eq!(out.denied, 0, "benign task was denied");
             assert!(!out.next_delay.is_zero());
         }
         assert_eq!(task.steps(), 200);
@@ -494,18 +509,19 @@ mod tests {
     fn hijack_forces_illegal_edge_once() {
         let (mut bus, mut mem, mut rng) = env();
         let mut task = make_task();
+        let edges = task.program().edge_set();
         // from bb0 the only legal successor is bb1; hijack to bb3
         task.hijack(BlockId(3));
         let out = task
             .step(SimTime::ZERO, MasterId::CPU0, &mut bus, &mut mem, &mut rng)
             .unwrap();
         assert_eq!(out.edge, (BlockId(0), BlockId(3)));
-        assert!(!task.program().edge_set().contains(&out.edge));
+        assert!(!edges.contains(&out.edge));
         // subsequent steps are legal again
         let out2 = task
             .step(SimTime::ZERO, MasterId::CPU0, &mut bus, &mut mem, &mut rng)
             .unwrap();
-        assert!(task.program().edge_set().contains(&out2.edge));
+        assert!(edges.contains(&out2.edge));
     }
 
     #[test]
@@ -533,12 +549,13 @@ mod tests {
     fn restart_clears_hijack() {
         let (mut bus, mut mem, mut rng) = env();
         let mut task = make_task();
+        let edges = task.program().edge_set();
         task.hijack(BlockId(3));
         task.restart();
         let out = task
             .step(SimTime::ZERO, MasterId::CPU0, &mut bus, &mut mem, &mut rng)
             .unwrap();
-        assert!(task.program().edge_set().contains(&out.edge));
+        assert!(edges.contains(&out.edge));
     }
 
     #[test]
@@ -553,7 +570,7 @@ mod tests {
             let out = task
                 .step(SimTime::ZERO, MasterId::CPU0, &mut bus, &mut mem, &mut rng)
                 .unwrap();
-            if !out.denials.is_empty() {
+            if out.denied > 0 {
                 saw_denial = true;
             }
         }
@@ -569,11 +586,18 @@ mod tests {
             let out = task
                 .step(SimTime::ZERO, MasterId::CPU0, &mut bus, &mut mem, &mut rng)
                 .unwrap();
-            seen.extend(out.syscalls);
+            seen.extend(out.syscalls.iter().copied());
         }
         assert!(seen.contains(&Syscall::SensorRead));
         assert!(seen.contains(&Syscall::NetSend));
         assert!(!seen.contains(&Syscall::PrivEscalate));
+    }
+
+    #[test]
+    fn syscall_index_is_position_in_all() {
+        for (i, call) in Syscall::ALL.into_iter().enumerate() {
+            assert_eq!(call.index(), i);
+        }
     }
 
     #[test]
