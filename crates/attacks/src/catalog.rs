@@ -8,7 +8,7 @@
 //! Names come in two shapes:
 //!
 //! * **base names** ([`NAMES`]) — one per [`AttackKind`] variant, equal to
-//!   the injector's [`AttackInjector::name`] (e.g. `"network-flood"`);
+//!   [`AttackKind::name`] (e.g. `"network-flood"`);
 //! * **variants** ([`VARIANTS`]) — a base name plus a `:suffix` selecting a
 //!   different *inject point* for the same attack class (e.g.
 //!   `"memory-probe:tee"` scans only the TEE window, `"dma-exfil:periph"`
@@ -48,22 +48,15 @@ impl std::error::Error for UnknownAttack {}
 
 /// Canonical base name for every [`AttackKind`] variant, in
 /// [`AttackKind::ALL`] order.
-pub const NAMES: [&str; 14] = [
-    "code-injection",
-    "memory-probe",
-    "firmware-tamper",
-    "firmware-downgrade",
-    "dma-exfil",
-    "debug-port",
-    "network-flood",
-    "exploit-traffic",
-    "exfiltration",
-    "sensor-spoof",
-    "fault-injection",
-    "log-wipe",
-    "syscall-anomaly",
-    "system-hang",
-];
+pub const NAMES: [&str; AttackKind::ALL.len()] = {
+    let mut names = [""; AttackKind::ALL.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = AttackKind::ALL[i].name();
+        i += 1;
+    }
+    names
+};
 
 /// Inject-point variants: alternative parameterisations of a base attack.
 pub const VARIANTS: [&str; 8] = [
@@ -77,33 +70,13 @@ pub const VARIANTS: [&str; 8] = [
     "fault-injection:clock",
 ];
 
-/// The canonical base name for an attack kind.
-pub fn canonical_name(kind: AttackKind) -> &'static str {
-    match kind {
-        AttackKind::CodeInjection => "code-injection",
-        AttackKind::MemoryProbe => "memory-probe",
-        AttackKind::FirmwareTamper => "firmware-tamper",
-        AttackKind::Downgrade => "firmware-downgrade",
-        AttackKind::DmaExfil => "dma-exfil",
-        AttackKind::DebugIntrusion => "debug-port",
-        AttackKind::NetworkFlood => "network-flood",
-        AttackKind::ExploitTraffic => "exploit-traffic",
-        AttackKind::Exfiltration => "exfiltration",
-        AttackKind::SensorSpoof => "sensor-spoof",
-        AttackKind::FaultInjection => "fault-injection",
-        AttackKind::LogWipe => "log-wipe",
-        AttackKind::SyscallAnomaly => "syscall-anomaly",
-        AttackKind::SystemHang => "system-hang",
-    }
-}
-
 /// The attack kind a catalog name (base or variant) resolves to, without
 /// constructing the injector.
 pub fn kind_of(name: &str) -> Option<AttackKind> {
     let base = name.split_once(':').map_or(name, |(base, _)| base);
     AttackKind::ALL
         .into_iter()
-        .find(|&kind| canonical_name(kind) == base)
+        .find(|kind| kind.name() == base)
         // a recognised base does not make the variant suffix valid
         .filter(|_| is_known(name))
 }
@@ -201,11 +174,10 @@ mod tests {
     #[test]
     fn every_kind_has_a_constructible_base_name() {
         for kind in AttackKind::ALL {
-            let name = canonical_name(kind);
+            let name = kind.name();
             assert!(NAMES.contains(&name), "{name} missing from NAMES");
             let injector = try_build(name).unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(injector.kind(), kind, "{name} builds the wrong kind");
-            assert_eq!(injector.name(), name, "{name} report-name mismatch");
             assert!(injector.steps() > 0);
         }
         assert_eq!(NAMES.len(), AttackKind::ALL.len());
@@ -216,7 +188,7 @@ mod tests {
         for variant in VARIANTS {
             let injector = try_build(variant).unwrap_or_else(|e| panic!("{e}"));
             let (base, _) = variant.split_once(':').expect("variants carry a suffix");
-            assert_eq!(injector.name(), base, "{variant}");
+            assert_eq!(injector.kind().name(), base, "{variant}");
             assert_eq!(kind_of(variant), Some(injector.kind()), "{variant}");
         }
     }

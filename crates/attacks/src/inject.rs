@@ -62,6 +62,49 @@ impl AttackKind {
         AttackKind::SyscallAnomaly,
         AttackKind::SystemHang,
     ];
+
+    /// The canonical catalog base name (e.g. `"network-flood"`), which
+    /// reports carry as the attack's name.
+    pub const fn name(self) -> &'static str {
+        match self {
+            AttackKind::CodeInjection => "code-injection",
+            AttackKind::MemoryProbe => "memory-probe",
+            AttackKind::FirmwareTamper => "firmware-tamper",
+            AttackKind::Downgrade => "firmware-downgrade",
+            AttackKind::DmaExfil => "dma-exfil",
+            AttackKind::DebugIntrusion => "debug-port",
+            AttackKind::NetworkFlood => "network-flood",
+            AttackKind::ExploitTraffic => "exploit-traffic",
+            AttackKind::Exfiltration => "exfiltration",
+            AttackKind::SensorSpoof => "sensor-spoof",
+            AttackKind::FaultInjection => "fault-injection",
+            AttackKind::LogWipe => "log-wipe",
+            AttackKind::SyscallAnomaly => "syscall-anomaly",
+            AttackKind::SystemHang => "system-hang",
+        }
+    }
+
+    /// Detection capabilities that *should* observe this kind of attack
+    /// (ground truth for scoring detection coverage).
+    pub const fn detectable_by(self) -> &'static [DetectionCapability] {
+        use DetectionCapability as D;
+        match self {
+            AttackKind::CodeInjection => &[D::ControlFlowIntegrity],
+            AttackKind::MemoryProbe => &[D::MemoryGuard, D::BusPolicing],
+            AttackKind::FirmwareTamper => &[D::MemoryGuard, D::BootMeasurement],
+            AttackKind::Downgrade => &[D::BootMeasurement],
+            AttackKind::DmaExfil => &[D::BusPolicing, D::MemoryGuard, D::NetworkSignature],
+            AttackKind::DebugIntrusion => &[D::BusPolicing],
+            AttackKind::NetworkFlood => &[D::NetworkRate],
+            AttackKind::ExploitTraffic => &[D::NetworkSignature],
+            AttackKind::Exfiltration => &[D::NetworkSignature],
+            AttackKind::SensorSpoof => &[D::SensorPlausibility],
+            AttackKind::FaultInjection => &[D::Environmental],
+            AttackKind::LogWipe => &[D::MemoryGuard],
+            AttackKind::SyscallAnomaly => &[D::SyscallSequence],
+            AttackKind::SystemHang => &[D::WatchdogLiveness],
+        }
+    }
 }
 
 impl fmt::Display for AttackKind {
@@ -82,8 +125,6 @@ pub enum AttackEffect {
 /// The result of one injection step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttackStepResult {
-    /// What the attacker did (ground-truth narrative).
-    pub description: String,
     /// Whether the step achieved its goal (e.g. a probe read succeeded).
     pub achieved: bool,
     /// Effects for the platform to route.
@@ -100,17 +141,12 @@ pub struct AttackTargets<'a> {
     pub slots: Option<&'a mut SlotStore>,
 }
 
-/// An attack injector: a multi-step adversary procedure with ground truth.
+/// An attack injector: a multi-step adversary procedure. The platform
+/// records when each step ran and whether it achieved its goal; the kind
+/// carries the name and detection labels.
 pub trait AttackInjector {
-    /// Stable name for reports.
-    fn name(&self) -> &'static str;
-
     /// Taxonomy class.
     fn kind(&self) -> AttackKind;
-
-    /// Detection capabilities that *should* observe this attack (ground
-    /// truth for scoring detection coverage).
-    fn detectable_by(&self) -> Vec<DetectionCapability>;
 
     /// Number of steps in the attack procedure.
     fn steps(&self) -> u32;
@@ -122,9 +158,6 @@ pub trait AttackInjector {
         now: SimTime,
         targets: &mut AttackTargets<'_>,
     ) -> AttackStepResult;
-
-    /// Times at which steps actually executed (ground truth for latency).
-    fn injection_times(&self) -> &[SimTime];
 }
 
 #[cfg(test)]

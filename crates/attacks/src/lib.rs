@@ -3,10 +3,12 @@
 //! The attack injector library.
 //!
 //! Every §IV attack class the paper discusses, implemented as a
-//! behaviour-equivalent injector against the simulated SoC, each carrying
-//! **ground truth** (what happened, when, and which detection capability
-//! *should* see it) so experiments can score detection rate and latency
-//! mechanically.
+//! behaviour-equivalent injector against the simulated SoC. Injectors only
+//! act. The **ground truth** that experiments score detection rate and
+//! latency against has two owners: each [`AttackKind`] carries its name and
+//! the detection capabilities that *should* see it ([`AttackKind::name`],
+//! [`AttackKind::detectable_by`]), and the platform records when each step
+//! ran and whether it achieved its goal.
 //!
 //! | Injector | Real-world analogue (paper citation) |
 //! |---|---|

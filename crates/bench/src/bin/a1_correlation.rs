@@ -12,7 +12,7 @@
 //!
 //! Run: `cargo run --release -p cres-bench --bin a1_correlation`
 
-use cres_bench::scenarios::try_build;
+use cres_attacks::catalog::try_build;
 use cres_monitor::{Detail, MonitorEvent, Severity, Subject};
 use cres_platform::campaign::{default_jobs, Campaign, ScenarioSpec};
 use cres_platform::{PlatformConfig, PlatformProfile};

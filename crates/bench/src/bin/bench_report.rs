@@ -308,13 +308,13 @@ fn bench_platform_slice() -> BenchResult {
 /// One attacked campaign cell per profile through a shared worker pool;
 /// returns total monitor events processed.
 fn run_campaign_cells(pool: &mut PlatformPool, budget: u64) -> u64 {
-    use cres_bench::scenarios::build;
+    use cres_attacks::catalog::try_build;
     let mut events = 0u64;
     for profile in PlatformProfile::ALL {
         let scenario = Scenario::quiet(SimDuration::cycles(budget)).attack(
             SimTime::at_cycle(200_000),
             SimDuration::cycles(3_000),
-            build("network-flood"),
+            try_build("network-flood").expect("catalog attack"),
         );
         let report =
             ScenarioRunner::new(PlatformConfig::new(profile, 11)).run_pooled(pool, scenario);

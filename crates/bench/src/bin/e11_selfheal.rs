@@ -17,7 +17,7 @@
 //!
 //! Run: `cargo run --release -p cres-bench --bin e11_selfheal`
 
-use cres_bench::scenarios::try_build;
+use cres_attacks::catalog::try_build;
 use cres_platform::campaign::{default_jobs, Campaign, ScenarioSpec};
 use cres_platform::{FaultPlaneConfig, FaultPlaneStats, PlatformConfig, PlatformProfile};
 use cres_sim::{SimDuration, SimTime};

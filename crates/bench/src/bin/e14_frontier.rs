@@ -20,7 +20,7 @@
 //!
 //! Run: `cargo run --release -p cres-bench --bin e14_frontier`
 
-use cres_bench::scenarios::try_build;
+use cres_attacks::catalog::try_build;
 use cres_platform::campaign::{default_jobs, Campaign, ScenarioSpec};
 use cres_platform::{PlatformConfig, PlatformProfile};
 use cres_response::PolicyConfig;

@@ -28,7 +28,7 @@
 //!   (`e16.trace.json`, `e16.log.jsonl`, `e16.prom`) — deterministic
 //!   bytes, validated by the `obs_lint` CI step.
 
-use cres_bench::scenarios::build;
+use cres_attacks::catalog::try_build;
 use cres_obs::lint::{check_chrome, check_jsonl, check_prom};
 use cres_obs::{chrome_trace, device_records, prometheus, write_jsonl, ObsCapture};
 use cres_platform::{PlatformConfig, PlatformProfile, Scenario, ScenarioRunner};
@@ -51,7 +51,7 @@ fn main() {
         Scenario::quiet(SimDuration::cycles(duration)).attack(
             SimTime::at_cycle(duration / 2),
             SimDuration::cycles(8_000),
-            build("code-injection"),
+            try_build("code-injection").expect("catalog attack"),
         )
     };
     let config = || {

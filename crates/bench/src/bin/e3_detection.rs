@@ -8,7 +8,8 @@
 //!
 //! Run: `cargo run --release -p cres-bench --bin e3_detection`
 
-use cres_bench::scenarios::{try_build, GAUNTLET};
+use cres_attacks::catalog::try_build;
+use cres_bench::scenarios::GAUNTLET;
 use cres_platform::campaign::{default_jobs, Campaign, ScenarioSpec};
 use cres_platform::{PlatformConfig, PlatformProfile};
 use cres_sim::{SimDuration, SimTime};

@@ -9,6 +9,7 @@
 //! Run: `cargo run --release -p cres-bench --bin e5_recovery`
 
 use cres_boot::FirmwareImage;
+use cres_platform::config::REBOOT_DURATION;
 use cres_platform::{Platform, PlatformConfig, PlatformProfile};
 
 /// Flash programming throughput: bytes per cycle.
@@ -58,9 +59,7 @@ fn main() {
         "E5",
         "Recovery paths after firmware corruption: reboot vs rollback vs golden vs roll-forward",
     );
-    let reboot = PlatformConfig::new(PlatformProfile::CyberResilient, 404)
-        .reboot_duration
-        .as_cycles();
+    let reboot = REBOOT_DURATION.as_cycles();
     let mut results = Vec::new();
 
     // Path 1: plain reboot (the passive baseline's only recovery).

@@ -15,8 +15,8 @@
 //!
 //! Run: `cargo run --release -p cres-bench --bin e7_isolation`
 
+use cres_attacks::catalog::try_build;
 use cres_attacks::tee_attacks::{shared_cache_key_extraction, ta_downgrade};
-use cres_bench::scenarios::try_build;
 use cres_platform::campaign::{default_jobs, Campaign, ScenarioSpec};
 use cres_platform::{Platform, PlatformConfig, PlatformProfile};
 use cres_sim::{SimDuration, SimTime};

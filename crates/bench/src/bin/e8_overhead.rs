@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release -p cres-bench --bin e8_overhead`
 
-use cres_bench::scenarios::build;
+use cres_attacks::catalog::try_build;
 use cres_platform::{PlatformConfig, PlatformProfile, Scenario, ScenarioRunner};
 use cres_sim::{SimDuration, SimTime};
 
@@ -35,7 +35,7 @@ fn main() {
         let scenario = Scenario::quiet(SimDuration::cycles(duration)).attack(
             SimTime::at_cycle(duration / 2),
             SimDuration::cycles(8_000),
-            build("code-injection"),
+            try_build("code-injection").expect("catalog attack"),
         );
         let report = ScenarioRunner::new(config).run(scenario);
         cres_bench::row(
@@ -73,7 +73,7 @@ fn main() {
         Scenario::quiet(SimDuration::cycles(duration)).attack(
             SimTime::at_cycle(duration / 2),
             SimDuration::cycles(8_000),
-            build("code-injection"),
+            try_build("code-injection").expect("catalog attack"),
         )
     };
     let mut on_config = PlatformConfig::new(PlatformProfile::CyberResilient, 8);

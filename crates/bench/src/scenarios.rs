@@ -1,11 +1,8 @@
 //! The standard attack gauntlet shared by E3/E4/E6 and the examples.
 //!
-//! Construction delegates to [`cres_attacks::catalog`], the single
-//! name → injector table; this module only names the standard runtime
-//! subset and offers the historical panicking wrapper.
-
-use cres_attacks::catalog;
-use cres_attacks::{AttackInjector, UnknownAttack};
+//! Construction goes through [`cres_attacks::catalog::try_build`], the
+//! single name → injector table; this module only names the standard
+//! runtime subset.
 
 /// Names of the standard runtime attack gauntlet (downgrade is boot-time
 /// and lives in E10).
@@ -23,49 +20,18 @@ pub const GAUNTLET: [&str; 11] = [
     "log-wipe",
 ];
 
-/// Builds a fresh injector for a catalog name, surfacing unknown names as
-/// a structured error. This is the builder shape `Campaign::new` expects.
-pub fn try_build(name: &str) -> Result<Box<dyn AttackInjector>, UnknownAttack> {
-    catalog::try_build(name)
-}
-
-/// Builds a fresh injector for a gauntlet entry.
-///
-/// # Panics
-///
-/// Panics for unknown names; use [`try_build`] where the name is untrusted.
-pub fn build(name: &str) -> Box<dyn AttackInjector> {
-    catalog::try_build(name).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cres_attacks::catalog;
 
     #[test]
     fn every_gauntlet_entry_builds() {
         for name in GAUNTLET {
-            let injector = build(name);
-            assert_eq!(injector.name(), name);
+            let injector = catalog::try_build(name).expect("catalog attack");
+            assert_eq!(injector.kind().name(), name);
             assert!(injector.steps() > 0);
         }
-        // plus the extra entries outside the constant
-        assert_eq!(build("syscall-anomaly").name(), "syscall-anomaly");
         assert!(GAUNTLET.iter().all(|n| catalog::is_known(n)));
-    }
-
-    #[test]
-    fn unknown_name_is_a_structured_error() {
-        let err = match try_build("nonexistent") {
-            Ok(_) => panic!("must not resolve"),
-            Err(e) => e,
-        };
-        assert_eq!(err.name, "nonexistent");
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown attack")]
-    fn unknown_name_panics_in_legacy_builder() {
-        build("nonexistent");
     }
 }

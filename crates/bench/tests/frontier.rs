@@ -5,7 +5,7 @@
 //! (`CRES_JOBS` ∈ {1, 2, 8} — exercised directly via `run_parallel`, which
 //! is what the env knob feeds).
 
-use cres_bench::scenarios::try_build;
+use cres_attacks::catalog::try_build;
 use cres_platform::campaign::{Campaign, ScenarioSpec};
 use cres_platform::{PlatformConfig, PlatformProfile, RunReport};
 use cres_response::PolicyConfig;

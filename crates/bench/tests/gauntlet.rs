@@ -7,7 +7,8 @@
 //! `attack × profile` cell) so the suite exercises the parallel path while
 //! staying fast on multicore machines.
 
-use cres_bench::scenarios::{try_build, GAUNTLET};
+use cres_attacks::catalog::try_build;
+use cres_bench::scenarios::GAUNTLET;
 use cres_platform::campaign::{default_jobs, Campaign, ScenarioSpec};
 use cres_platform::{PlatformConfig, PlatformProfile};
 use cres_sim::{SimDuration, SimTime};

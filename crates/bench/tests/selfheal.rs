@@ -4,7 +4,7 @@
 //! accounting-independent of the telemetry layer — a telemetry-off run is
 //! bit-identical outside the `telemetry` field, fault counters included.
 
-use cres_bench::scenarios::try_build;
+use cres_attacks::catalog::try_build;
 use cres_platform::campaign::{default_jobs, Campaign, ScenarioSpec};
 use cres_platform::{FaultPlaneConfig, PlatformConfig, PlatformProfile};
 use cres_sim::{SimDuration, SimTime};

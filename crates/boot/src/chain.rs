@@ -75,11 +75,6 @@ impl BootChain {
         &self.rom
     }
 
-    /// Mutable ROM access (key revocation manifests).
-    pub fn rom_mut(&mut self) -> &mut BootRom {
-        &mut self.rom
-    }
-
     /// Attempts to boot through `images` in chain order (bootloader first).
     /// Measures each *verified* stage into the PCR bank; a failed stage is
     /// not measured and aborts the chain.

@@ -632,7 +632,7 @@ mod tests {
         assert_eq!(scenario.duration, spec.duration);
         assert_eq!(scenario.attacks.len(), 1);
         assert_eq!(scenario.attacks[0].start, SimTime::at_cycle(10_000));
-        assert_eq!(scenario.attacks[0].injector.name(), "sensor-spoof");
+        assert_eq!(scenario.attacks[0].injector.kind().name(), "sensor-spoof");
         let quiet = Scenario::quiet(SimDuration::cycles(100_000));
         assert_eq!(scenario.benign_packet_period, quiet.benign_packet_period);
         assert_eq!(scenario.training_rounds, quiet.training_rounds);

@@ -39,6 +39,13 @@ impl fmt::Display for PlatformProfile {
     }
 }
 
+/// Reboot latency.
+pub const REBOOT_DURATION: SimDuration = SimDuration::cycles(50_000);
+/// Quiet window after countermeasures before declaring recovery.
+pub const RECOVERY_WINDOW: SimDuration = SimDuration::cycles(100_000);
+/// Watchdog timeout.
+pub const WATCHDOG_TIMEOUT: SimDuration = SimDuration::cycles(500_000);
+
 /// Full platform configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct PlatformConfig {
@@ -48,12 +55,6 @@ pub struct PlatformConfig {
     pub seed: u64,
     /// Monitor sampling period in cycles.
     pub monitor_period: SimDuration,
-    /// Reboot latency.
-    pub reboot_duration: SimDuration,
-    /// Quiet window after countermeasures before declaring recovery.
-    pub recovery_window: SimDuration,
-    /// Watchdog timeout.
-    pub watchdog_timeout: SimDuration,
     /// RSA modulus size for vendor/boot keys (small for test speed).
     pub rsa_bits: usize,
     /// Enable evidence recording (ablation A2).
@@ -85,9 +86,6 @@ impl PlatformConfig {
             profile,
             seed,
             monitor_period: SimDuration::cycles(5_000),
-            reboot_duration: SimDuration::cycles(50_000),
-            recovery_window: SimDuration::cycles(100_000),
-            watchdog_timeout: SimDuration::cycles(500_000),
             rsa_bits: 512,
             // the passive baseline has no SSM, hence no evidence store —
             // its only audit trail is the wipeable console log

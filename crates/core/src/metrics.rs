@@ -12,7 +12,7 @@ use serde::Serialize;
 /// Per-attack scoring against ground truth.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AttackOutcomeReport {
-    /// Injector name.
+    /// Attack name ([`AttackKind::name`]).
     pub name: String,
     /// Attack class.
     pub kind: AttackKind,

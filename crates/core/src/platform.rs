@@ -1,6 +1,6 @@
 //! The assembled platform.
 
-use crate::config::{PlatformConfig, PlatformProfile};
+use crate::config::{PlatformConfig, PlatformProfile, REBOOT_DURATION, WATCHDOG_TIMEOUT};
 use crate::faultplane::FaultPlane;
 use crate::provision::{provision, Provisioned};
 use crate::telemetry::TelemetryRecorder;
@@ -28,10 +28,12 @@ use cres_ssm::{
 use cres_tee::Tee;
 use std::mem;
 
-/// A registered attack with its step cursor.
+/// A registered attack and its ground truth: the instant of every step
+/// run so far (so `times.len()` is the next step) and how many achieved
+/// their goal.
 struct AttackSlot {
     injector: Box<dyn AttackInjector>,
-    next_step: u32,
+    times: Vec<SimTime>,
     achieved: u32,
 }
 
@@ -236,7 +238,7 @@ impl Platform {
         } = provisioned;
 
         let mut soc = SocBuilder::with_standard_layout(config.seed)
-            .watchdog_timeout(config.watchdog_timeout)
+            .watchdog_timeout(WATCHDOG_TIMEOUT)
             .sensor(Sensor::new("grid_freq", 50.0, 0.05, 100_000, 0.002))
             .sensor(Sensor::new("line_temp", 40.0, 2.0, 1_000_000, 0.1))
             .actuator(Actuator::new("breaker", 0.0, 100.0))
@@ -272,7 +274,7 @@ impl Platform {
             }
             None => SystemSecurityManager::new(ssm_config, &evidence_key),
         };
-        let response = ResponseManager::new(config.reboot_duration);
+        let response = ResponseManager::new(REBOOT_DURATION);
 
         let monitors = Self::build_monitors(&soc, &config);
         // Intern every monitor name once, at wiring time; events carry the
@@ -569,7 +571,7 @@ impl Platform {
     pub fn add_attack(&mut self, injector: Box<dyn AttackInjector>) -> usize {
         self.attacks.push(AttackSlot {
             injector,
-            next_step: 0,
+            times: Vec::new(),
             achieved: 0,
         });
         self.attacks.len() - 1
@@ -580,6 +582,12 @@ impl Platform {
         self.attacks[idx].injector.as_ref()
     }
 
+    /// Instants at which attack `idx`'s steps ran (ground truth for
+    /// detection latency and evidence coverage).
+    pub fn attack_times(&self, idx: usize) -> &[SimTime] {
+        &self.attacks[idx].times
+    }
+
     /// Number of registered attacks.
     pub fn attack_count(&self) -> usize {
         self.attacks.len()
@@ -588,7 +596,7 @@ impl Platform {
     /// `(steps executed, steps achieved)` for attack `idx`.
     pub fn attack_stats(&self, idx: usize) -> (u32, u32) {
         let slot = &self.attacks[idx];
-        (slot.next_step, slot.achieved)
+        (slot.times.len() as u32, slot.achieved)
     }
 
     /// Executes the next step of attack `idx`. Returns `None` when the
@@ -596,11 +604,11 @@ impl Platform {
     pub fn attack_step(&mut self, idx: usize, now: SimTime) -> Option<AttackStepResult> {
         let expose = self.config.expose_slots_to_attacker;
         let slot = &mut self.attacks[idx];
-        if slot.next_step >= slot.injector.steps() {
+        let step = slot.times.len() as u32;
+        if step >= slot.injector.steps() {
             return None;
         }
-        let step = slot.next_step;
-        slot.next_step += 1;
+        slot.times.push(now);
         let mut targets = AttackTargets {
             soc: &mut self.soc,
             slots: if expose { Some(&mut self.slots) } else { None },
@@ -1080,6 +1088,10 @@ mod tests {
         assert!(p.attack_step(idx, SimTime::at_cycle(1)).is_some());
         assert!(p.attack_step(idx, SimTime::at_cycle(2)).is_some());
         assert!(p.attack_step(idx, SimTime::at_cycle(3)).is_none());
-        assert_eq!(p.attack(idx).injection_times().len(), 2);
+        assert_eq!(
+            p.attack_times(idx),
+            [SimTime::at_cycle(1), SimTime::at_cycle(2)]
+        );
+        assert_eq!(p.attack_stats(idx).0, 2);
     }
 }

@@ -6,7 +6,7 @@
 //! recovery checks return the platform to health after a quiet window.
 //! Attacks are scheduled scripts of injector steps.
 
-use crate::config::PlatformConfig;
+use crate::config::{PlatformConfig, RECOVERY_WINDOW};
 use crate::metrics::{matching_incident_kinds, AttackOutcomeReport, RunReport};
 use crate::platform::Platform;
 use crate::pool::{PlatformPool, ScoreScratch};
@@ -198,7 +198,6 @@ impl ScenarioRunner {
             queue.schedule(SimTime::ZERO + period, Event::BenignTraffic { period });
         }
         let monitor_period = self.config.monitor_period;
-        let recovery_window = self.config.recovery_window;
         let policy_enabled = self.config.policy.enabled;
         queue.schedule(SimTime::ZERO + monitor_period, Event::MonitorTick);
         queue.schedule(SimTime::ZERO + SEAL_PERIOD, Event::Seal);
@@ -280,7 +279,7 @@ impl ScenarioRunner {
                             // `policy_tick` instead of snapping everything
                             // open after one quiet window.
                             let incidents = platform.ssm.incidents().len();
-                            let at = now + recovery_window;
+                            let at = now + RECOVERY_WINDOW;
                             queue.schedule(at, Event::QuietRecovery { incidents });
                         }
                     }
@@ -325,9 +324,8 @@ impl ScenarioRunner {
         ground_truth.clear();
         let mut attacker_wins = 0u32;
         for idx in 0..platform.attack_count() {
-            let injector = platform.attack(idx);
-            let kind = injector.kind();
-            let times = injector.injection_times();
+            let kind = platform.attack(idx).kind();
+            let times = platform.attack_times(idx);
             ground_truth.extend_from_slice(times);
             let first_injection = times.first().copied();
             let matching = matching_incident_kinds(kind);
@@ -346,7 +344,7 @@ impl ScenarioRunner {
             let (executed, achieved) = platform.attack_stats(idx);
             attacker_wins += achieved;
             attacks.push(AttackOutcomeReport {
-                name: injector.name().to_string(),
+                name: kind.name().to_string(),
                 kind,
                 first_injection,
                 detected_at,

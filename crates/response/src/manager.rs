@@ -69,7 +69,6 @@ fn action_cost(action: ResponseAction) -> u64 {
 #[derive(Debug, Clone)]
 pub struct ResponseManager {
     reboot_duration: SimDuration,
-    executed: Vec<ExecutedAction>,
     degraded: bool,
     suspended_by_degrade: Vec<TaskId>,
     /// Tier posture in force (stays `Full` unless a policy engine drives
@@ -86,7 +85,6 @@ impl ResponseManager {
     pub fn new(reboot_duration: SimDuration) -> Self {
         ResponseManager {
             reboot_duration,
-            executed: Vec::new(),
             degraded: false,
             suspended_by_degrade: Vec::new(),
             tier: DegradationTier::Full,
@@ -99,11 +97,6 @@ impl ResponseManager {
     /// The configured reboot latency.
     pub fn reboot_duration(&self) -> SimDuration {
         self.reboot_duration
-    }
-
-    /// Everything executed so far.
-    pub fn executed(&self) -> &[ExecutedAction] {
-        &self.executed
     }
 
     /// True while in degraded mode — either the legacy boolean degrade
@@ -158,14 +151,12 @@ impl ResponseManager {
     /// reached the backend. The action is *not* executed — the record keeps
     /// the forensic log complete so a post-incident audit can distinguish
     /// "never commanded" from "commanded but lost".
-    pub fn record_dropped(&mut self, action: ResponseAction, now: SimTime) -> ExecutedAction {
-        let record = ExecutedAction {
+    pub fn record_dropped(&self, action: ResponseAction, now: SimTime) -> ExecutedAction {
+        ExecutedAction {
             at: now,
             action,
             outcome: ActionOutcome::Failed("command dropped by interconnect fault".into()),
-        };
-        self.executed.push(record.clone());
-        record
+        }
     }
 
     /// Executes one countermeasure.
@@ -255,13 +246,11 @@ impl ResponseManager {
                 }
             }
         };
-        let record = ExecutedAction {
+        ExecutedAction {
             at: now,
             action,
             outcome,
-        };
-        self.executed.push(record.clone());
-        record
+        }
     }
 
     fn enter_degraded(&mut self, soc: &mut Soc) {
@@ -744,7 +733,6 @@ mod tests {
         assert!(!results[0].outcome.is_success());
         assert!(results[1].outcome.is_success());
         assert!(soc.nic.is_quarantined());
-        assert_eq!(m.executed().len(), 2);
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn default_corpus_reaches_every_attack() {
     let corpus = generate(42, &GenKnobs::default());
     assert!(corpus.len() >= 100);
     for kind in AttackKind::ALL {
-        let base = catalog::canonical_name(kind);
+        let base = kind.name();
         assert!(
             corpus.iter().any(|doc| doc
                 .stages

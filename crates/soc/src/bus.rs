@@ -61,13 +61,6 @@ pub enum TxnOutcome {
     Denied(BusError),
 }
 
-impl TxnOutcome {
-    /// True when the transaction completed.
-    pub fn is_granted(self) -> bool {
-        matches!(self, TxnOutcome::Granted)
-    }
-}
-
 /// Metadata of one bus transaction, as seen by a hardware probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TxnRecord {

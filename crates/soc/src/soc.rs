@@ -154,11 +154,6 @@ impl Soc {
         self.env.sample(now, &mut self.rng)
     }
 
-    /// Forks a deterministic RNG stream off the SoC's root stream.
-    pub fn fork_rng(&mut self, tag: &str) -> DetRng {
-        self.rng.fork(tag)
-    }
-
     /// Delivers an inbound packet through the NIC, raising the RX interrupt
     /// when it is accepted. This is the front door network traffic should
     /// use; writing to `nic` directly bypasses the interrupt path.

@@ -123,11 +123,6 @@ impl SystemSecurityManager {
         self.registry.name(id)
     }
 
-    /// The monitor-name intern table.
-    pub fn monitor_registry(&self) -> &MonitorRegistry {
-        &self.registry
-    }
-
     /// Arms heartbeat-based liveness tracking for a fleet of `count`
     /// monitors sampled every `period`. A monitor that misses
     /// `miss_threshold` consecutive periods is quarantined by
@@ -343,11 +338,6 @@ impl SystemSecurityManager {
         if to > from {
             self.health.on_degraded(at);
         }
-    }
-
-    /// The degradation tier the planner is currently composing plans for.
-    pub fn response_tier(&self) -> DegradationTier {
-        self.planner.tier()
     }
 
     /// Records the start of a recovery procedure.

@@ -19,7 +19,6 @@ use cres::fleet::summary::DeviceSummary;
 use cres::fleet::{run_fleet, run_fleet_observed, FleetIncident};
 use cres::platform::campaign::BuiltAttack;
 use cres::platform::{PlatformPool, ScenarioRunner};
-use cres::policy::DetectionCapability;
 use cres::sim::SimTime;
 
 fn config(devices: u32, seed: u64) -> FleetConfig {
@@ -146,14 +145,8 @@ static STEPPED: AtomicBool = AtomicBool::new(false);
 struct PanicOnFirstStep(Box<dyn AttackInjector>);
 
 impl AttackInjector for PanicOnFirstStep {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
     fn kind(&self) -> AttackKind {
         self.0.kind()
-    }
-    fn detectable_by(&self) -> Vec<DetectionCapability> {
-        self.0.detectable_by()
     }
     fn steps(&self) -> u32 {
         self.0.steps()
@@ -169,9 +162,6 @@ impl AttackInjector for PanicOnFirstStep {
             "injected device fault"
         );
         self.0.inject_step(step, now, targets)
-    }
-    fn injection_times(&self) -> &[SimTime] {
-        self.0.injection_times()
     }
 }
 
