@@ -142,12 +142,6 @@ impl PlatformPool {
         &mut self.scratch
     }
 
-    /// `(cache hits, cache misses)` for the provisioning cache — bench and
-    /// test introspection.
-    pub fn provision_cache_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     /// Cumulative hit/miss/recycle counters since the pool was created.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
@@ -188,7 +182,8 @@ mod tests {
         pool.release(p1);
         let p2 = pool.acquire(config);
         pool.release(p2);
-        assert_eq!(pool.provision_cache_stats(), (1, 1));
+        let stats = pool.stats();
+        assert_eq!((stats.provision_hits, stats.provision_misses), (1, 1));
     }
 
     #[test]
@@ -200,7 +195,8 @@ mod tests {
             let p = pool.acquire(PlatformConfig::new(profile, 3));
             pool.release(p);
         }
-        assert_eq!(pool.provision_cache_stats(), (1, 1));
+        let stats = pool.stats();
+        assert_eq!((stats.provision_hits, stats.provision_misses), (1, 1));
     }
 
     #[test]
@@ -263,8 +259,8 @@ mod tests {
         // seed 0 was evicted; acquiring it again is a miss
         let p = pool.acquire(PlatformConfig::new(PlatformProfile::CyberResilient, 0));
         pool.release(p);
-        let (hits, misses) = pool.provision_cache_stats();
-        assert_eq!(hits, 0);
-        assert_eq!(misses, PROVISION_CACHE_CAP as u64 + 2);
+        let stats = pool.stats();
+        assert_eq!(stats.provision_hits, 0);
+        assert_eq!(stats.provision_misses, PROVISION_CACHE_CAP as u64 + 2);
     }
 }

@@ -267,45 +267,6 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         self.sum
     }
-
-    /// Mean observation, if any were recorded.
-    pub fn mean(&self) -> Option<f64> {
-        (self.total > 0).then(|| self.sum as f64 / self.total as f64)
-    }
-
-    /// The cumulative-bucket view (Prometheus exposition semantics): one
-    /// `(upper_bound, observations ≤ bound)` pair per bound, ascending,
-    /// ending with the `+Inf` bucket (`None`) whose count equals
-    /// [`Histogram::total`].
-    pub fn cumulative_buckets(&self) -> Vec<(Option<u64>, u64)> {
-        cumulative(&self.bounds, &self.counts)
-    }
-
-    /// Adds another histogram's observations bucket-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket bounds differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "histogram bounds mismatch");
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-    }
-}
-
-/// Shared cumulative fold for [`Histogram`] and [`HistogramSnapshot`]:
-/// pairs each upper bound (then `None` = `+Inf`) with the running count.
-fn cumulative(bounds: &[u64], counts: &[u64]) -> Vec<(Option<u64>, u64)> {
-    let mut out = Vec::with_capacity(counts.len());
-    let mut acc = 0u64;
-    for (i, count) in counts.iter().enumerate() {
-        acc += count;
-        out.push((bounds.get(i).copied(), acc));
-    }
-    out
 }
 
 /// A registry of named counters, gauges and fixed-bucket histograms.
@@ -549,33 +510,24 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// The cumulative-bucket view — see [`Histogram::cumulative_buckets`];
-    /// the last (`None` = `+Inf`) entry equals `self.total`.
+    /// The cumulative-bucket view (Prometheus exposition semantics): one
+    /// `(upper_bound, observations ≤ bound)` pair per bound, ascending,
+    /// ending with the `+Inf` bucket (`None`) whose count equals
+    /// `self.total`.
     pub fn cumulative_buckets(&self) -> Vec<(Option<u64>, u64)> {
-        cumulative(&self.bounds, &self.counts)
+        let mut out = Vec::with_capacity(self.counts.len());
+        let mut acc = 0u64;
+        for (i, count) in self.counts.iter().enumerate() {
+            acc += count;
+            out.push((self.bounds.get(i).copied(), acc));
+        }
+        out
     }
 }
 
 /// The frozen end-of-run telemetry report carried on
-/// [`crate::metrics::RunReport`] (and exported through its JSON codec —
-/// see `EXPERIMENTS.md` E8 for the field-by-field schema).
-///
-/// # JSON round-trip
-///
-/// ```
-/// use cres_platform::telemetry::TelemetryRecorder;
-/// use cres_sim::{SimTime, Stage, StageSink};
-///
-/// let mut recorder = TelemetryRecorder::new();
-/// recorder.record_span(SimTime::at_cycle(7), Stage::Respond, 1, 10);
-/// recorder.metrics_mut().counter_add("incidents.CodeInjection", 1);
-///
-/// let snapshot = recorder.snapshot();
-/// let json = snapshot.to_json();
-/// assert!(json.contains("\"respond\""));
-/// let back = cres_platform::telemetry::TelemetrySnapshot::from_json(&json).unwrap();
-/// assert_eq!(back, snapshot);
-/// ```
+/// [`crate::metrics::RunReport`] (and written as its `telemetry` JSON
+/// field — see `EXPERIMENTS.md` E8 for the field-by-field schema).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Total spans recorded (retained + overwritten).
@@ -732,7 +684,6 @@ mod tests {
         assert_eq!(h.counts(), &[2, 1, 1]);
         assert_eq!(h.total(), 4);
         assert_eq!(h.sum(), 1_026);
-        assert_eq!(h.mean(), Some(256.5));
     }
 
     #[test]
@@ -741,14 +692,6 @@ mod tests {
         for v in [5, 10, 11, 1_000, 2_000] {
             h.observe(v);
         }
-        let buckets = h.cumulative_buckets();
-        assert_eq!(
-            buckets,
-            vec![(Some(10), 2), (Some(100), 3), (None, 5)],
-            "per-bound cumulative counts, +Inf last"
-        );
-        assert_eq!(buckets.last().unwrap().1, h.total());
-        // the snapshot view agrees with the live histogram
         let snap = HistogramSnapshot {
             name: "h".into(),
             bounds: h.bounds().to_vec(),
@@ -756,18 +699,13 @@ mod tests {
             total: h.total(),
             sum: h.sum(),
         };
-        assert_eq!(snap.cumulative_buckets(), buckets);
-    }
-
-    #[test]
-    fn histogram_merge_adds_bucketwise() {
-        let mut a = Histogram::new(&[10]);
-        let mut b = Histogram::new(&[10]);
-        a.observe(1);
-        b.observe(100);
-        a.merge(&b);
-        assert_eq!(a.counts(), &[1, 1]);
-        assert_eq!(a.total(), 2);
+        let buckets = snap.cumulative_buckets();
+        assert_eq!(
+            buckets,
+            vec![(Some(10), 2), (Some(100), 3), (None, 5)],
+            "per-bound cumulative counts, +Inf last"
+        );
+        assert_eq!(buckets.last().unwrap().1, h.total());
     }
 
     #[test]

@@ -96,8 +96,12 @@ fn warm_pooled_run_stays_under_alloc_ceiling() {
          (ceiling {POOLED_RUN_ALLOC_CEILING}); the provisioning cache or \
          platform recycling regressed"
     );
-    let (hits, misses) = pool.provision_cache_stats();
-    assert_eq!((hits, misses), (1, 1), "provisioning was not cached");
+    let stats = pool.stats();
+    assert_eq!(
+        (stats.provision_hits, stats.provision_misses),
+        (1, 1),
+        "provisioning was not cached"
+    );
 }
 
 #[test]

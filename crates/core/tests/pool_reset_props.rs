@@ -75,7 +75,7 @@ proptest! {
             let pooled = ScenarioRunner::new(config).run_pooled(&mut pool, scenario(true));
             prop_assert_eq!(&pooled, &fresh, "drift on pooled round {}", round);
         }
-        let (hits, misses) = pool.provision_cache_stats();
-        prop_assert_eq!((hits, misses), (2, 1));
+        let stats = pool.stats();
+        prop_assert_eq!((stats.provision_hits, stats.provision_misses), (2, 1));
     }
 }

@@ -64,7 +64,7 @@ fn warm_shard_devices_stay_under_alloc_ceiling() {
     for id in 0..24 {
         run_device(&config, &mut pool, id);
     }
-    let (_, misses_warm) = pool.provision_cache_stats();
+    let misses_warm = pool.stats().provision_misses;
 
     const MEASURED: u64 = 16;
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -74,7 +74,7 @@ fn warm_shard_devices_stay_under_alloc_ceiling() {
     }
     let after = ALLOCS.load(Ordering::Relaxed);
 
-    let (_, misses_after) = pool.provision_cache_stats();
+    let misses_after = pool.stats().provision_misses;
     assert_eq!(
         misses_warm, misses_after,
         "a provisioning cell was first seen inside the measured window; \

@@ -5,8 +5,8 @@
 //! through serde's data model — the derives are used purely as markers on
 //! report/domain types — so the derives here expand to nothing and the
 //! marker traits in `shim-serde` carry blanket impls. Report types that
-//! genuinely need serialization implement the in-repo JSON codec
-//! (`cres_platform::json`) by hand instead.
+//! genuinely need serialization are written by the in-repo JSON encoder
+//! (`cres_platform::json`) instead.
 
 use proc_macro::TokenStream;
 

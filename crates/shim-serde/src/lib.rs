@@ -15,7 +15,7 @@
 //!   compiling unchanged.
 //!
 //! Types that genuinely need to cross a process boundary serialize through
-//! the hand-written JSON codec in `cres_platform::json` instead.
+//! the hand-written JSON encoder in `cres_platform::json` instead.
 
 /// Marker trait standing in for `serde::Serialize`.
 pub trait Serialize {}

@@ -32,7 +32,6 @@ use crate::time::SimTime;
 /// use cres_sim::Stage;
 /// assert_eq!(Stage::ALL.len(), Stage::COUNT);
 /// assert_eq!(Stage::Correlate.name(), "correlate");
-/// assert_eq!(Stage::from_name("respond"), Some(Stage::Respond));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
@@ -100,11 +99,6 @@ impl Stage {
             Stage::FaultPlane => "fault-plane",
             Stage::Policy => "policy",
         }
-    }
-
-    /// Resolves a name produced by [`Stage::name`].
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::ALL.into_iter().find(|s| s.name() == name)
     }
 }
 
@@ -213,11 +207,12 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for stage in Stage::ALL {
-            assert_eq!(Stage::from_name(stage.name()), Some(stage));
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
             assert_eq!(stage.to_string(), stage.name());
+            for other in &Stage::ALL[..i] {
+                assert_ne!(other.name(), stage.name(), "names must be distinct");
+            }
         }
-        assert_eq!(Stage::from_name("not-a-stage"), None);
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl DegradationTier {
         }
     }
 
-    /// Resolves a name produced by [`DegradationTier::name`].
-    pub fn from_name(name: &str) -> Option<DegradationTier> {
-        DegradationTier::ALL.into_iter().find(|t| t.name() == name)
-    }
-
     /// One step tighter (`SafeHalt` saturates).
     pub const fn raised(self) -> DegradationTier {
         match self {
@@ -399,7 +394,9 @@ mod tests {
     fn tier_ladder_is_total_and_single_step() {
         for (i, tier) in DegradationTier::ALL.into_iter().enumerate() {
             assert_eq!(tier.index(), i);
-            assert_eq!(DegradationTier::from_name(tier.name()), Some(tier));
+            for other in &DegradationTier::ALL[..i] {
+                assert_ne!(other.name(), tier.name(), "names must be distinct");
+            }
             assert!(tier.raised() >= tier);
             assert!(tier.lowered() <= tier);
             assert!(tier.raised().index() <= i + 1);
@@ -410,7 +407,6 @@ mod tests {
             DegradationTier::SafeHalt
         );
         assert_eq!(DegradationTier::Full.lowered(), DegradationTier::Full);
-        assert_eq!(DegradationTier::from_name("not-a-tier"), None);
     }
 
     #[test]

@@ -107,22 +107,6 @@ fn reports_match_committed_goldens() {
     }
 }
 
-#[test]
-fn goldens_decode_and_roundtrip() {
-    if bless_mode() {
-        return;
-    }
-    for profile in PlatformProfile::ALL {
-        let path = fixture_path(profile);
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden {} ({e})", path.display()));
-        let report = RunReport::from_json(&golden).expect("golden decodes");
-        assert_eq!(report.profile, profile);
-        assert_eq!(report.seed, GOLDEN_SEED);
-        assert_eq!(report.to_json(), golden, "{profile} golden not canonical");
-    }
-}
-
 /// The policy-armed cell: same scenario and seed as the CyberResilient
 /// golden, with the response policy engine enabled — so the fixture pins
 /// the `availability_detail` block (tiers, breakers, per-class service
@@ -154,11 +138,9 @@ fn policy_report_matches_committed_golden() {
         path.display()
     );
     assert!(golden.contains("\"availability_detail\":{"));
-    let decoded = RunReport::from_json(&golden).expect("policy golden decodes");
-    let detail = decoded
+    let detail = report
         .availability_detail
         .as_ref()
-        .expect("policy golden carries the availability block");
+        .expect("policy run carries the availability block");
     assert!(detail.critical_offered > 0);
-    assert_eq!(decoded.to_json(), golden, "policy golden not canonical");
 }
