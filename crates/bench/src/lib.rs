@@ -117,11 +117,6 @@ pub fn rule(widths: &[usize]) {
     println!("{}", "-".repeat(total));
 }
 
-/// Formats an optional cycle count.
-pub fn opt_cycles(v: Option<u64>) -> String {
-    v.map_or("—".to_string(), |c| format!("{c}"))
-}
-
 /// Formats a fraction as a percentage.
 pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
@@ -133,8 +128,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(opt_cycles(None), "—");
-        assert_eq!(opt_cycles(Some(42)), "42");
         assert_eq!(pct(0.5), "50.0%");
         assert_eq!(pct(1.0), "100.0%");
     }

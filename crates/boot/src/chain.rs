@@ -8,7 +8,7 @@
 use crate::image::FirmwareImage;
 use crate::pcr::{index, PcrBank};
 use crate::rom::{BootRom, VerifyError};
-use crate::ArbCounters;
+use crate::MemArbCounters;
 use cres_crypto::rsa::RsaPublicKey;
 
 /// Result of verifying one stage.
@@ -78,7 +78,7 @@ impl BootChain {
     /// Attempts to boot through `images` in chain order (bootloader first).
     /// Measures each *verified* stage into the PCR bank; a failed stage is
     /// not measured and aborts the chain.
-    pub fn boot(&self, images: &[&FirmwareImage], arb: &mut dyn ArbCounters) -> BootReport {
+    pub fn boot(&self, images: &[&FirmwareImage], arb: &mut MemArbCounters) -> BootReport {
         let mut pcrs = PcrBank::new();
         pcrs.extend(index::ROM, &self.rom_measurement);
         let mut stages = Vec::with_capacity(images.len());
@@ -117,7 +117,6 @@ mod tests {
     use super::*;
     use crate::image::ImageSigner;
     use crate::rom::BootPolicy;
-    use crate::MemArbCounters;
     use cres_crypto::drbg::HmacDrbg;
     use cres_crypto::rsa::{generate_keypair, RsaKeypair};
 

@@ -8,7 +8,7 @@
 //!
 //! * [`image`] — the signed firmware image format and signing tool,
 //! * [`pcr`] — a TPM-style platform configuration register bank for
-//!   measured boot and attestation quotes,
+//!   measured boot,
 //! * [`rom`] — the immutable first-stage verifier (signature, hash,
 //!   anti-rollback policy),
 //! * [`chain`] — the multi-stage chain of trust over A/B/golden slots,
@@ -16,9 +16,9 @@
 //!   roll-back, roll-forward and golden-image recovery.
 //!
 //! The crate is independent of the SoC model: it operates on byte buffers
-//! (a [`update::SlotStore`]) and the OTP-like [`ArbCounters`] trait, so it
-//! can be unit-tested standalone and wired to simulated flash by the
-//! platform crate.
+//! (a [`update::SlotStore`]) and a [`MemArbCounters`] bank, so it can be
+//! unit-tested standalone and wired to simulated flash by the platform
+//! crate.
 
 pub mod chain;
 pub mod image;
@@ -32,18 +32,11 @@ pub use pcr::PcrBank;
 pub use rom::{BootPolicy, BootRom};
 pub use update::{Slot, SlotStore, UpdateEngine, UpdateError};
 
-/// Anti-rollback counter storage, implemented by the platform's OTP fuses.
+/// The anti-rollback counter bank: one monotonic minimum security version
+/// per boot stage. The platform keeps one per device.
 ///
-/// The boot ROM reads the minimum acceptable security version through this
-/// trait and advances it after a successful boot of a newer image.
-pub trait ArbCounters {
-    /// Current minimum acceptable security version for `stage`.
-    fn current(&self, stage: &str) -> u64;
-    /// Advances the counter; must fail or saturate rather than regress.
-    fn advance(&mut self, stage: &str, value: u64);
-}
-
-/// An in-memory [`ArbCounters`] for tests and standalone use.
+/// The boot ROM reads the minimum acceptable security version from it and
+/// advances it after a successful boot of a newer image.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemArbCounters {
     counters: std::collections::HashMap<String, u64>,
@@ -54,14 +47,15 @@ impl MemArbCounters {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl ArbCounters for MemArbCounters {
-    fn current(&self, stage: &str) -> u64 {
+    /// Current minimum acceptable security version for `stage`.
+    pub fn current(&self, stage: &str) -> u64 {
         self.counters.get(stage).copied().unwrap_or(0)
     }
 
-    fn advance(&mut self, stage: &str, value: u64) {
+    /// Advances the counter for `stage` to `value`; a lower value is
+    /// ignored, so the counter never regresses.
+    pub fn advance(&mut self, stage: &str, value: u64) {
         let cur = self.current(stage);
         if value > cur {
             self.counters.insert(stage.to_string(), value);

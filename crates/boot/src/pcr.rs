@@ -3,10 +3,8 @@
 //! A TPM-style PCR bank: registers start at zero and can only be *extended*
 //! (`pcr ← SHA-256(pcr ‖ measurement)`), never written. A boot stage's
 //! measurement is folded in before control transfers to it, so the final
-//! PCR values commit to the exact boot path. Attestation quotes are
-//! HMAC-keyed over the PCR values plus a caller nonce.
+//! PCR values commit to the exact boot path.
 
-use cres_crypto::hmac::HmacSha256;
 use cres_crypto::sha2::Sha256;
 
 /// Number of registers in the bank.
@@ -28,7 +26,6 @@ pub mod index {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PcrBank {
     regs: [[u8; 32]; PCR_COUNT],
-    extend_log: Vec<(usize, [u8; 32])>,
 }
 
 impl Default for PcrBank {
@@ -42,7 +39,6 @@ impl PcrBank {
     pub fn new() -> Self {
         PcrBank {
             regs: [[0u8; 32]; PCR_COUNT],
-            extend_log: Vec::new(),
         }
     }
 
@@ -57,7 +53,6 @@ impl PcrBank {
         h.update(&self.regs[idx]);
         h.update(measurement);
         self.regs[idx] = h.finalize();
-        self.extend_log.push((idx, *measurement));
     }
 
     /// Reads register `idx`.
@@ -68,38 +63,6 @@ impl PcrBank {
     pub fn read(&self, idx: usize) -> [u8; 32] {
         assert!(idx < PCR_COUNT, "no PCR {idx}");
         self.regs[idx]
-    }
-
-    /// The ordered log of extensions (measured-boot event log).
-    pub fn event_log(&self) -> &[(usize, [u8; 32])] {
-        &self.extend_log
-    }
-
-    /// Produces an attestation quote: HMAC over `nonce ‖ all PCR values`
-    /// under `key` (the attestation key held by the TEE/SSM).
-    pub fn quote(&self, key: &[u8], nonce: &[u8]) -> [u8; 32] {
-        let mut mac = HmacSha256::new(key);
-        mac.update(nonce);
-        for r in &self.regs {
-            mac.update(r);
-        }
-        mac.finalize()
-    }
-
-    /// Verifies a quote against expected PCR values.
-    #[must_use]
-    pub fn verify_quote(
-        expected: &[[u8; 32]; PCR_COUNT],
-        key: &[u8],
-        nonce: &[u8],
-        quote: &[u8; 32],
-    ) -> bool {
-        let mut mac = HmacSha256::new(key);
-        mac.update(nonce);
-        for r in expected {
-            mac.update(r);
-        }
-        cres_crypto::ct::ct_eq(&mac.finalize(), quote)
     }
 
     /// Snapshot of all registers (for golden-value comparison).
@@ -116,7 +79,6 @@ mod tests {
     fn fresh_bank_is_zero() {
         let b = PcrBank::new();
         assert_eq!(b.read(0), [0u8; 32]);
-        assert!(b.event_log().is_empty());
     }
 
     #[test]
@@ -158,48 +120,5 @@ mod tests {
     #[should_panic(expected = "no PCR")]
     fn out_of_range_panics() {
         PcrBank::new().read(PCR_COUNT);
-    }
-
-    #[test]
-    fn quote_round_trip() {
-        let mut b = PcrBank::new();
-        b.extend(index::APP, &[9u8; 32]);
-        let q = b.quote(b"attest-key", b"nonce-1");
-        assert!(PcrBank::verify_quote(
-            &b.snapshot(),
-            b"attest-key",
-            b"nonce-1",
-            &q
-        ));
-        assert!(!PcrBank::verify_quote(
-            &b.snapshot(),
-            b"attest-key",
-            b"nonce-2",
-            &q
-        ));
-        assert!(!PcrBank::verify_quote(
-            &b.snapshot(),
-            b"wrong-key",
-            b"nonce-1",
-            &q
-        ));
-        // different PCR state → quote mismatch
-        let fresh = PcrBank::new();
-        assert!(!PcrBank::verify_quote(
-            &fresh.snapshot(),
-            b"attest-key",
-            b"nonce-1",
-            &q
-        ));
-    }
-
-    #[test]
-    fn event_log_records_extensions() {
-        let mut b = PcrBank::new();
-        b.extend(0, &[1u8; 32]);
-        b.extend(2, &[2u8; 32]);
-        assert_eq!(b.event_log().len(), 2);
-        assert_eq!(b.event_log()[0].0, 0);
-        assert_eq!(b.event_log()[1].0, 2);
     }
 }

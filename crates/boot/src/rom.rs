@@ -7,7 +7,7 @@
 //! anti-rollback + key revocation.
 
 use crate::image::{FirmwareImage, ImageError};
-use crate::ArbCounters;
+use crate::MemArbCounters;
 use cres_crypto::rsa::RsaPublicKey;
 use std::fmt;
 
@@ -122,7 +122,7 @@ impl BootRom {
         &self,
         image: &FirmwareImage,
         key: &RsaPublicKey,
-        arb: &mut dyn ArbCounters,
+        arb: &mut MemArbCounters,
     ) -> Result<(), VerifyError> {
         let fp = key.fingerprint();
         if fp != self.trusted_fingerprint {
@@ -152,7 +152,6 @@ impl BootRom {
 mod tests {
     use super::*;
     use crate::image::ImageSigner;
-    use crate::MemArbCounters;
     use cres_crypto::drbg::HmacDrbg;
     use cres_crypto::rsa::{generate_keypair, RsaKeypair};
 

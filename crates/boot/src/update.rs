@@ -12,7 +12,7 @@
 
 use crate::image::{FirmwareImage, ImageError};
 use crate::rom::{BootRom, VerifyError};
-use crate::ArbCounters;
+use crate::MemArbCounters;
 use cres_crypto::rsa::RsaPublicKey;
 use std::fmt;
 
@@ -170,7 +170,7 @@ impl UpdateEngine {
         store: &mut SlotStore,
         rom: &BootRom,
         key: &RsaPublicKey,
-        arb: &mut dyn ArbCounters,
+        arb: &mut MemArbCounters,
     ) -> Result<FirmwareImage, UpdateError> {
         let target = store.active().other();
         let image = FirmwareImage::from_bytes(store.slot(target), self.sig_len)
@@ -232,7 +232,6 @@ mod tests {
     use super::*;
     use crate::image::ImageSigner;
     use crate::rom::BootPolicy;
-    use crate::MemArbCounters;
     use cres_crypto::drbg::HmacDrbg;
     use cres_crypto::rsa::{generate_keypair, RsaKeypair};
 

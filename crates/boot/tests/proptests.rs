@@ -3,8 +3,7 @@
 //! the update engine's slot invariants are fuzzed.
 
 use cres_boot::{
-    ArbCounters, BootPolicy, BootRom, FirmwareImage, ImageSigner, MemArbCounters, Slot, SlotStore,
-    UpdateEngine,
+    BootPolicy, BootRom, FirmwareImage, ImageSigner, MemArbCounters, Slot, SlotStore, UpdateEngine,
 };
 use cres_crypto::drbg::HmacDrbg;
 use cres_crypto::rsa::{generate_keypair, RsaKeypair};

@@ -245,15 +245,16 @@ impl CampaignSummary {
     }
 
     /// Prints per-run wall times plus the aggregate line the BENCH
-    /// trajectory records.
+    /// trajectory records, on stderr: wall time differs between runs, so
+    /// stdout stays the same on any thread count.
     pub fn print_timing(&self, id: &str) {
-        println!(
+        eprintln!(
             "\n[{id}] campaign timing ({} jobs on {} threads):",
             self.results.len(),
             self.threads
         );
         for result in &self.results {
-            println!(
+            eprintln!(
                 "  {:<40} {:>9.1} ms",
                 result.label,
                 result.wall.as_secs_f64() * 1e3
@@ -262,9 +263,9 @@ impl CampaignSummary {
         self.print_aggregate(id);
     }
 
-    /// Prints only the aggregate speedup line.
+    /// Prints only the aggregate speedup line, on stderr.
     pub fn print_aggregate(&self, id: &str) {
-        println!(
+        eprintln!(
             "[{id}] {} jobs on {} threads: wall {:.2}s, sequential-equivalent {:.2}s, speedup {:.2}x",
             self.results.len(),
             self.threads,

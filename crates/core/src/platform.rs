@@ -112,7 +112,8 @@ pub struct Platform {
     pub slots: SlotStore,
     /// Update engine.
     pub update: UpdateEngine,
-    /// Anti-rollback counters (the OTP view).
+    /// Anti-rollback counters: the minimum security version per boot
+    /// stage.
     pub arb: MemArbCounters,
     /// The system security manager.
     pub ssm: SystemSecurityManager,
@@ -150,10 +151,10 @@ pub struct Platform {
     /// disabled path draws no RNG and is byte-identical to a platform
     /// without a fault plane.
     pub faultplane: Option<FaultPlane>,
-    /// The stateful response policy engine; `None` when
-    /// [`cres_response::PolicyConfig::enabled`] is off — disabled, every
-    /// plan executes exactly as the SSM planned it and the legacy boolean
-    /// degraded-mode path is used, byte-identical to pre-policy builds.
+    /// The stateful response policy engine, present when the
+    /// configuration's `policy.enabled` is set. Without it, every plan
+    /// executes exactly as the SSM planned it and degraded mode is the
+    /// manager's boolean flag.
     pub policy: Option<ResponsePolicy>,
     /// Incident count at the last policy tick; an unchanged count means
     /// the tick was quiet (hysteresis holdoffs advance, pressure decays).
@@ -335,10 +336,7 @@ impl Platform {
                 None => TelemetryRecorder::new(),
             }),
             faultplane,
-            policy: config
-                .policy
-                .enabled
-                .then(|| ResponsePolicy::new(config.policy)),
+            policy: config.policy.enabled.then(ResponsePolicy::new),
             policy_last_incidents: 0,
             monitor_overhead_cycles: 0,
             critical_steps: 0,

@@ -106,6 +106,7 @@ mod tests {
     use super::*;
     use crate::config::PlatformProfile;
     use cres_boot::{FirmwareImage, MemArbCounters};
+    use cres_crypto::hmac::HmacSha256;
 
     fn cfg() -> PlatformConfig {
         PlatformConfig::new(PlatformProfile::CyberResilient, 1234)
@@ -148,12 +149,14 @@ mod tests {
 
     #[test]
     fn tee_holds_device_keys() {
-        let p = provision(&cfg());
-        let key = p
-            .tee
-            .export_key(cres_tee::World::Secure, "device-root")
-            .unwrap();
-        assert_eq!(key, p.device_root_key);
+        let mut p = provision(&cfg());
+        let session = p.tee.open_session("keystore").unwrap();
+        assert_eq!(
+            p.tee
+                .mac_with_key(session, "device-root", b"probe")
+                .unwrap(),
+            HmacSha256::mac(&p.device_root_key, b"probe")
+        );
         assert_eq!(p.tee.installed_version("keystore"), Some(2));
         assert_eq!(p.tee.installed_version("attestation"), Some(1));
     }

@@ -225,7 +225,7 @@ impl ScenarioRunner {
                 }
                 Event::BenignTraffic { period } => {
                     let soc = &mut platform.soc;
-                    soc.deliver_packet(Packet {
+                    soc.nic.deliver(Packet {
                         src: 2,
                         dst: 1,
                         len: 96,
@@ -240,7 +240,6 @@ impl ScenarioRunner {
                         at: now,
                     });
                     while soc.nic.receive().is_some() {}
-                    soc.irq.acknowledge(cres_soc::periph::IrqLine::NicRx);
                     queue.schedule(now + period, event);
                 }
                 Event::MonitorTick => {

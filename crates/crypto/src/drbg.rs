@@ -21,7 +21,6 @@ use crate::hmac::HmacSha256;
 pub struct HmacDrbg {
     key: [u8; 32],
     value: [u8; 32],
-    reseed_counter: u64,
 }
 
 impl HmacDrbg {
@@ -31,19 +30,12 @@ impl HmacDrbg {
         let mut drbg = HmacDrbg {
             key: [0u8; 32],
             value: [1u8; 32],
-            reseed_counter: 1,
         };
         let mut seed = Vec::with_capacity(entropy.len() + personalization.len());
         seed.extend_from_slice(entropy);
         seed.extend_from_slice(personalization);
         drbg.update(Some(&seed));
         drbg
-    }
-
-    /// Mixes additional entropy into the state.
-    pub fn reseed(&mut self, entropy: &[u8]) {
-        self.update(Some(entropy));
-        self.reseed_counter = 1;
     }
 
     /// Generates `len` pseudorandom bytes.
@@ -55,33 +47,7 @@ impl HmacDrbg {
             out.extend_from_slice(&self.value[..take]);
         }
         self.update(None);
-        self.reseed_counter += 1;
         out
-    }
-
-    /// Fills `buf` with pseudorandom bytes.
-    pub fn fill(&mut self, buf: &mut [u8]) {
-        let bytes = self.generate(buf.len());
-        buf.copy_from_slice(&bytes);
-    }
-
-    /// Generates a uniformly random value below `bound` using rejection
-    /// sampling on 64-bit chunks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0`.
-    pub fn gen_u64_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        let zone = u64::MAX - (u64::MAX % bound);
-        loop {
-            let mut b = [0u8; 8];
-            self.fill(&mut b);
-            let v = u64::from_be_bytes(b);
-            if v < zone {
-                return v % bound;
-            }
-        }
     }
 
     /// SP 800-90A HMAC_DRBG_Update.
@@ -137,34 +103,6 @@ mod tests {
         let x = d.generate(32);
         let y = d.generate(32);
         assert_ne!(x, y);
-    }
-
-    #[test]
-    fn reseed_changes_stream() {
-        let mut a = HmacDrbg::new(b"e", b"");
-        let mut b = HmacDrbg::new(b"e", b"");
-        let _ = a.generate(16);
-        let _ = b.generate(16);
-        a.reseed(b"fresh");
-        assert_ne!(a.generate(32), b.generate(32));
-    }
-
-    #[test]
-    fn bounded_generation_respects_bound() {
-        let mut d = HmacDrbg::new(b"e", b"");
-        for _ in 0..1000 {
-            assert!(d.gen_u64_below(17) < 17);
-        }
-    }
-
-    #[test]
-    fn bounded_generation_covers_range() {
-        let mut d = HmacDrbg::new(b"e", b"");
-        let mut seen = [false; 10];
-        for _ in 0..500 {
-            seen[d.gen_u64_below(10) as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`hmac`] — HMAC (RFC 2104) over either hash,
 //! * [`hkdf`] — HKDF extract/expand (RFC 5869),
 //! * [`aes`] — the AES-128/192/256 block cipher (FIPS 197),
-//! * [`modes`] — CTR and CBC (PKCS#7) modes of operation,
+//! * [`modes`] — the CTR mode of operation,
 //! * [`aead`] — an encrypt-then-MAC AEAD built from AES-CTR + HMAC-SHA-256,
 //! * [`drbg`] — HMAC-DRBG (SP 800-90A) for deterministic key generation,
 //! * [`bignum`] — arbitrary-precision unsigned arithmetic,
@@ -61,8 +61,6 @@ pub enum CryptoError {
         /// The length actually supplied, in bytes.
         got: usize,
     },
-    /// Padding was invalid during decryption.
-    InvalidPadding,
     /// Prime generation exhausted its attempt budget.
     PrimeGenerationFailed,
 }
@@ -78,7 +76,6 @@ impl std::fmt::Display for CryptoError {
                     "invalid key length: expected {expected}, got {got} bytes"
                 )
             }
-            CryptoError::InvalidPadding => write!(f, "invalid padding"),
             CryptoError::PrimeGenerationFailed => write!(f, "prime generation failed"),
         }
     }

@@ -1,11 +1,9 @@
-//! Block-cipher modes of operation: CTR and CBC (PKCS#7).
+//! Block-cipher mode of operation: CTR.
 //!
-//! CTR is the platform's default confidentiality mode (it feeds the
-//! encrypt-then-MAC AEAD in [`crate::aead`]); CBC exists because legacy
-//! firmware-image formats in the boot substrate use it.
+//! CTR is the platform's confidentiality mode: it feeds the
+//! encrypt-then-MAC AEAD in [`crate::aead`].
 
 use crate::aes::Aes;
-use crate::CryptoError;
 
 /// AES-CTR keystream application: encryption and decryption are identical.
 ///
@@ -34,59 +32,6 @@ pub fn ctr_xor(cipher: &Aes, nonce: &[u8; 12], data: &mut [u8]) {
         }
         counter = counter.checked_add(1).expect("CTR counter overflow");
     }
-}
-
-/// Encrypts with AES-CBC and PKCS#7 padding. The ciphertext is always a
-/// non-zero multiple of 16 bytes (a full padding block is added when the
-/// plaintext is already aligned).
-pub fn cbc_encrypt(cipher: &Aes, iv: &[u8; 16], plaintext: &[u8]) -> Vec<u8> {
-    let pad = 16 - (plaintext.len() % 16);
-    let mut data = Vec::with_capacity(plaintext.len() + pad);
-    data.extend_from_slice(plaintext);
-    data.extend(std::iter::repeat_n(pad as u8, pad));
-
-    let mut prev = *iv;
-    for chunk in data.chunks_mut(16) {
-        let block: &mut [u8; 16] = chunk.try_into().unwrap();
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= p;
-        }
-        cipher.encrypt_block(block);
-        prev = *block;
-    }
-    data
-}
-
-/// Decrypts AES-CBC ciphertext and strips PKCS#7 padding.
-///
-/// # Errors
-///
-/// Returns [`CryptoError::MalformedInput`] for empty or misaligned input and
-/// [`CryptoError::InvalidPadding`] when the padding bytes are inconsistent.
-pub fn cbc_decrypt(cipher: &Aes, iv: &[u8; 16], ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(16) {
-        return Err(CryptoError::MalformedInput("CBC ciphertext length"));
-    }
-    let mut data = ciphertext.to_vec();
-    let mut prev = *iv;
-    for chunk in data.chunks_mut(16) {
-        let block: &mut [u8; 16] = chunk.try_into().unwrap();
-        let saved = *block;
-        cipher.decrypt_block(block);
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= p;
-        }
-        prev = saved;
-    }
-    let pad = *data.last().unwrap() as usize;
-    if pad == 0 || pad > 16 || pad > data.len() {
-        return Err(CryptoError::InvalidPadding);
-    }
-    if !data[data.len() - pad..].iter().all(|&b| b as usize == pad) {
-        return Err(CryptoError::InvalidPadding);
-    }
-    data.truncate(data.len() - pad);
-    Ok(data)
 }
 
 #[cfg(test)]
@@ -139,67 +84,5 @@ mod tests {
         ctr_xor(&aes, &[1u8; 12], &mut a);
         ctr_xor(&aes, &[2u8; 12], &mut b);
         assert_ne!(a, b);
-    }
-
-    // NIST SP 800-38A F.2.1 CBC-AES128.Encrypt, first block (unpadded core).
-    #[test]
-    fn sp800_38a_cbc_aes128_first_block() {
-        let key = hex::decode("2b7e151628aed2a6abf7158809cf4f3c").unwrap();
-        let iv: [u8; 16] = hex::decode("000102030405060708090a0b0c0d0e0f")
-            .unwrap()
-            .try_into()
-            .unwrap();
-        let pt = hex::decode("6bc1bee22e409f96e93d7e117393172a").unwrap();
-        let aes = Aes::new(&key).unwrap();
-        let ct = cbc_encrypt(&aes, &iv, &pt);
-        // our output = standard ciphertext block + one padding block
-        assert_eq!(hex::encode(&ct[..16]), "7649abac8119b246cee98e9b12e9197d");
-        assert_eq!(ct.len(), 32);
-        assert_eq!(cbc_decrypt(&aes, &iv, &ct).unwrap(), pt);
-    }
-
-    #[test]
-    fn cbc_round_trip_various_lengths() {
-        let aes = Aes::new(&[5u8; 32]).unwrap();
-        let iv = [7u8; 16];
-        for len in [0, 1, 15, 16, 17, 47, 48, 200] {
-            let pt: Vec<u8> = (0..len as u32).map(|i| (i % 251) as u8).collect();
-            let ct = cbc_encrypt(&aes, &iv, &pt);
-            assert_eq!(ct.len() % 16, 0);
-            assert!(ct.len() > pt.len());
-            assert_eq!(cbc_decrypt(&aes, &iv, &ct).unwrap(), pt, "len {len}");
-        }
-    }
-
-    #[test]
-    fn cbc_detects_bad_padding() {
-        let aes = Aes::new(&[5u8; 16]).unwrap();
-        let iv = [0u8; 16];
-        let mut ct = cbc_encrypt(&aes, &iv, b"hello");
-        let last = ct.len() - 1;
-        ct[last] ^= 0xFF; // corrupt final block → padding check fails
-        assert!(matches!(
-            cbc_decrypt(&aes, &iv, &ct),
-            Err(CryptoError::InvalidPadding) | Err(CryptoError::MalformedInput(_))
-        ));
-    }
-
-    #[test]
-    fn cbc_rejects_misaligned_ciphertext() {
-        let aes = Aes::new(&[5u8; 16]).unwrap();
-        assert!(cbc_decrypt(&aes, &[0u8; 16], &[0u8; 15]).is_err());
-        assert!(cbc_decrypt(&aes, &[0u8; 16], &[]).is_err());
-    }
-
-    #[test]
-    fn cbc_iv_matters() {
-        let aes = Aes::new(&[5u8; 16]).unwrap();
-        let ct = cbc_encrypt(&aes, &[1u8; 16], b"secret message!!");
-        let wrong = cbc_decrypt(&aes, &[2u8; 16], &ct);
-        // wrong IV corrupts the first block; padding may still parse, but
-        // the plaintext must differ
-        if let Ok(pt) = wrong {
-            assert_ne!(pt, b"secret message!!");
-        }
     }
 }

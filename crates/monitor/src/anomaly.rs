@@ -132,13 +132,6 @@ impl Cusum {
     pub fn pressure(&self) -> (f64, f64) {
         (self.pos, self.neg)
     }
-
-    /// Re-centres the detector on a new target.
-    pub fn retarget(&mut self, target: f64) {
-        self.target = target;
-        self.pos = 0.0;
-        self.neg = 0.0;
-    }
 }
 
 /// Fixed-size sliding window with mean/variance and range queries.
@@ -282,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn cusum_detects_negative_drift_and_retargets() {
+    fn cusum_detects_negative_drift() {
         let mut c = Cusum::new(50.0, 0.5, 5.0);
         let mut fired = false;
         for _ in 0..50 {
@@ -292,10 +285,6 @@ mod tests {
             }
         }
         assert!(fired);
-        c.retarget(48.0);
-        for _ in 0..20 {
-            assert!(!c.update(48.1));
-        }
     }
 
     #[test]

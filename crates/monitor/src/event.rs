@@ -121,13 +121,6 @@ impl MonitorEvent {
         }
     }
 
-    /// Builder-style monitor stamp — test and wiring convenience.
-    #[inline]
-    pub fn with_monitor(mut self, monitor: MonitorId) -> Self {
-        self.monitor = monitor;
-        self
-    }
-
     /// The lazily rendered detail line, including the corruption prefix
     /// when the fault plane mangled the event. Byte-identical to the
     /// eagerly formatted `detail` string this type used to carry.
@@ -292,7 +285,6 @@ mod tests {
         let f = e; // Copy
         assert_eq!(e, f);
         assert!(!e.monitor.is_bound());
-        assert!(e.with_monitor(MonitorId::UNBOUND).monitor == MonitorId::UNBOUND);
     }
 
     #[test]

@@ -22,24 +22,24 @@
 use crate::capture::ObsCapture;
 use cres_crypto::hex;
 use cres_platform::json::{push_u64, write_string};
-use cres_sim::Stage;
+use cres_sim::{fault_code, policy_code, Stage};
 use std::fmt::Write as _;
 
 /// Decodes a [`Stage::FaultPlane`] span arg (`cres_sim::fault_code`) to
 /// its stable event name.
 pub fn fault_name(code: u32) -> &'static str {
     match code {
-        1 => "event-lost",
-        2 => "event-delayed",
-        3 => "event-reordered",
-        4 => "event-corrupted",
-        5 => "monitor-stalled",
-        6 => "monitor-crashed",
-        7 => "response-dropped",
-        8 => "delivery-retry",
-        9 => "delivery-recovered",
-        10 => "monitor-quarantined",
-        11 => "sensing-degraded",
+        fault_code::EVENT_LOST => "event-lost",
+        fault_code::EVENT_DELAYED => "event-delayed",
+        fault_code::EVENT_REORDERED => "event-reordered",
+        fault_code::EVENT_CORRUPTED => "event-corrupted",
+        fault_code::MONITOR_STALLED => "monitor-stalled",
+        fault_code::MONITOR_CRASHED => "monitor-crashed",
+        fault_code::RESPONSE_DROPPED => "response-dropped",
+        fault_code::DELIVERY_RETRY => "delivery-retry",
+        fault_code::DELIVERY_RECOVERED => "delivery-recovered",
+        fault_code::MONITOR_QUARANTINED => "monitor-quarantined",
+        fault_code::SENSING_DEGRADED => "sensing-degraded",
         _ => "unknown",
     }
 }
@@ -48,12 +48,12 @@ pub fn fault_name(code: u32) -> &'static str {
 /// stable event name.
 pub fn policy_name(code: u32) -> &'static str {
     match code {
-        1 => "tier-raised",
-        2 => "tier-lowered",
-        3 => "breaker-opened",
-        4 => "breaker-half-open",
-        5 => "breaker-closed",
-        6 => "action-suppressed",
+        policy_code::TIER_RAISED => "tier-raised",
+        policy_code::TIER_LOWERED => "tier-lowered",
+        policy_code::BREAKER_OPENED => "breaker-opened",
+        policy_code::BREAKER_HALF_OPEN => "breaker-half-open",
+        policy_code::BREAKER_CLOSED => "breaker-closed",
+        policy_code::ACTION_SUPPRESSED => "action-suppressed",
         _ => "unknown",
     }
 }
@@ -291,10 +291,11 @@ pub fn write_jsonl(records: &[LogRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cres_sim::{fault_code, policy_code};
 
     #[test]
     fn fault_and_policy_vocabularies_decode() {
+        use fault_code::*;
+        use policy_code::*;
         assert_eq!(fault_name(fault_code::EVENT_LOST), "event-lost");
         assert_eq!(fault_name(fault_code::SENSING_DEGRADED), "sensing-degraded");
         assert_eq!(policy_name(policy_code::TIER_RAISED), "tier-raised");
@@ -304,6 +305,45 @@ mod tests {
         );
         assert_eq!(fault_name(99), "unknown");
         assert_eq!(policy_name(99), "unknown");
+
+        // Every defined code decodes to its own name; 0 and one past the
+        // last code decode to "unknown".
+        fn check(decode: fn(u32) -> &'static str, codes: &[u32]) {
+            let names: Vec<&str> = codes.iter().map(|&c| decode(c)).collect();
+            assert!(!names.contains(&"unknown"), "{names:?}");
+            let distinct: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+            assert_eq!(distinct.len(), names.len(), "{names:?}");
+            let last = *codes.iter().max().expect("codes");
+            assert_eq!(decode(0), "unknown");
+            assert_eq!(decode(last + 1), "unknown");
+        }
+        check(
+            fault_name,
+            &[
+                EVENT_LOST,
+                EVENT_DELAYED,
+                EVENT_REORDERED,
+                EVENT_CORRUPTED,
+                MONITOR_STALLED,
+                MONITOR_CRASHED,
+                RESPONSE_DROPPED,
+                DELIVERY_RETRY,
+                DELIVERY_RECOVERED,
+                MONITOR_QUARANTINED,
+                SENSING_DEGRADED,
+            ],
+        );
+        check(
+            policy_name,
+            &[
+                TIER_RAISED,
+                TIER_LOWERED,
+                BREAKER_OPENED,
+                BREAKER_HALF_OPEN,
+                BREAKER_CLOSED,
+                ACTION_SUPPRESSED,
+            ],
+        );
     }
 
     #[test]

@@ -77,7 +77,6 @@ pub struct ResponseManager {
     /// Tasks suspended by tier posture, awaiting a looser tier.
     policy_suspended: Vec<TaskId>,
     distrusted_sensors: HashSet<usize>,
-    isolated: HashSet<MasterId>,
 }
 
 impl ResponseManager {
@@ -90,7 +89,6 @@ impl ResponseManager {
             tier: DegradationTier::Full,
             policy_suspended: Vec::new(),
             distrusted_sensors: HashSet::new(),
-            isolated: HashSet::new(),
         }
     }
 
@@ -113,11 +111,6 @@ impl ResponseManager {
     /// True when sensor `idx` has been marked untrustworthy.
     pub fn is_distrusted(&self, idx: usize) -> bool {
         self.distrusted_sensors.contains(&idx)
-    }
-
-    /// Masters currently isolated by countermeasures.
-    pub fn isolated_masters(&self) -> impl Iterator<Item = MasterId> + '_ {
-        self.isolated.iter().copied()
     }
 
     /// Executes a full plan in order, recording one `respond` span per
@@ -179,7 +172,6 @@ impl ResponseManager {
                             core.halt();
                         }
                     }
-                    self.isolated.insert(m);
                     ActionOutcome::Success
                 }
             }
@@ -361,28 +353,10 @@ impl ResponseManager {
         }
     }
 
-    /// Restores an isolated master (post-recovery, after reprovisioning its
-    /// grants at the platform level).
-    pub fn lift_isolation(&mut self, master: MasterId, soc: &mut Soc) {
-        if self.isolated.remove(&master) {
-            soc.bus.ungate(master);
-            if master.is_app_core() {
-                if let Some(core) = soc.cores.iter_mut().find(|c| c.master() == master) {
-                    core.resume(SimTime::ZERO);
-                }
-            }
-        }
-    }
-
     /// Restores network service (lifts quarantine and rate limits).
     pub fn restore_network(&mut self, soc: &mut Soc) {
         soc.nic.release();
         soc.nic.clear_rate_limit();
-    }
-
-    /// Restores trust in a sensor after recalibration.
-    pub fn restore_sensor_trust(&mut self, idx: usize) {
-        self.distrusted_sensors.remove(&idx);
     }
 }
 
@@ -446,10 +420,6 @@ mod tests {
         assert!(!soc.cores[1].is_running(t0()));
         // memory fully revoked
         assert!(soc.mem.read(MasterId::CPU1, Addr(0x2000_0000), 4).is_err());
-        assert_eq!(
-            m.isolated_masters().collect::<Vec<_>>(),
-            vec![MasterId::CPU1]
-        );
     }
 
     #[test]
@@ -701,8 +671,6 @@ mod tests {
         assert!(m.is_distrusted(0));
         let rec = m.execute(ResponseAction::DistrustSensor(9), t0(), &mut soc, &mut b);
         assert!(matches!(rec.outcome, ActionOutcome::Skipped(_)));
-        m.restore_sensor_trust(0);
-        assert!(!m.is_distrusted(0));
     }
 
     #[test]
@@ -733,22 +701,5 @@ mod tests {
         assert!(!results[0].outcome.is_success());
         assert!(results[1].outcome.is_success());
         assert!(soc.nic.is_quarantined());
-    }
-
-    #[test]
-    fn lift_isolation_restores_master() {
-        let mut soc = soc();
-        let mut m = mgr();
-        let mut b = NullRecoveryBackend::new();
-        m.execute(
-            ResponseAction::IsolateMaster(MasterId::CPU1),
-            t0(),
-            &mut soc,
-            &mut b,
-        );
-        m.lift_isolation(MasterId::CPU1, &mut soc);
-        assert!(!soc.bus.is_gated(MasterId::CPU1));
-        assert!(soc.cores[1].is_running(t0()));
-        assert_eq!(m.isolated_masters().count(), 0);
     }
 }

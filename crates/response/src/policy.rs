@@ -21,7 +21,7 @@
 //!   has a defined task/network/actuator posture (applied by
 //!   [`crate::manager::ResponseManager::apply_tier`]).
 //! * **Hysteresis** — tiers recover one step at a time: a step down
-//!   requires both a quiet holdoff (`exit_quiet_ticks` incident-free
+//!   requires both a quiet holdoff ([`EXIT_QUIET_TICKS`] incident-free
 //!   policy ticks) *and* pressure at or below the tier's exit threshold,
 //!   which sits strictly below its entry threshold. An alternating
 //!   incident/quiet signal therefore never flaps the tier.
@@ -38,72 +38,55 @@ use cres_ssm::{DegradationTier, ResponseAction};
 use serde::Serialize;
 use std::fmt;
 
+/// Consecutive faults on one resource that trip its breaker.
+pub const BREAKER_TRIP_THRESHOLD: u32 = 3;
+/// Open-breaker cooldown before the half-open probe window, and the length
+/// of the clean probe window required to close again.
+pub const BREAKER_COOLDOWN: SimDuration = SimDuration::cycles(150_000);
+/// Pressure at which the tier rises `Full → ShedNonCritical`.
+pub const SHED_ENTER: u32 = 3;
+/// Pressure at which the tier rises `ShedNonCritical → CriticalOnly`.
+pub const CRITICAL_ENTER: u32 = 9;
+/// Pressure at which the tier rises `CriticalOnly → SafeHalt`.
+pub const HALT_ENTER: u32 = 18;
+/// Incident-free policy ticks required before any step down.
+pub const EXIT_QUIET_TICKS: u32 = 4;
+/// Pressure drained per incident-free policy tick.
+pub const PRESSURE_DECAY: u32 = 1;
+
+/// Pressure required to *enter* `tier` (raise into it from below). `Full`
+/// is the resting state and needs none.
+pub fn enter_threshold(tier: DegradationTier) -> u32 {
+    match tier {
+        DegradationTier::Full => 0,
+        DegradationTier::ShedNonCritical => SHED_ENTER,
+        DegradationTier::CriticalOnly => CRITICAL_ENTER,
+        DegradationTier::SafeHalt => HALT_ENTER,
+    }
+}
+
+/// Pressure at or below which the platform may *leave* `tier` (step down
+/// out of it). Strictly below the entry threshold — this gap is the
+/// hysteresis band.
+pub fn exit_threshold(tier: DegradationTier) -> u32 {
+    enter_threshold(tier) / 2
+}
+
 /// Configuration for the response policy engine.
 ///
 /// `Copy` so it can ride inside a platform configuration; `enabled: false`
 /// (the default) keeps the engine entirely out of the platform — reports
 /// and behaviour are byte-identical to builds without a policy engine.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PolicyConfig {
     /// Arm the policy engine. Default `false`.
     pub enabled: bool,
-    /// Consecutive faults on one resource that trip its breaker.
-    pub breaker_trip_threshold: u32,
-    /// Open-breaker cooldown before the half-open probe window, and the
-    /// length of the clean probe window required to close again.
-    pub breaker_cooldown: SimDuration,
-    /// Pressure at which the tier rises `Full → ShedNonCritical`.
-    pub shed_enter: u32,
-    /// Pressure at which the tier rises `ShedNonCritical → CriticalOnly`.
-    pub critical_enter: u32,
-    /// Pressure at which the tier rises `CriticalOnly → SafeHalt`.
-    pub halt_enter: u32,
-    /// Incident-free policy ticks required before any step down.
-    pub exit_quiet_ticks: u32,
-    /// Pressure drained per incident-free policy tick.
-    pub pressure_decay: u32,
-}
-
-impl Default for PolicyConfig {
-    fn default() -> Self {
-        PolicyConfig {
-            enabled: false,
-            breaker_trip_threshold: 3,
-            breaker_cooldown: SimDuration::cycles(150_000),
-            shed_enter: 3,
-            critical_enter: 9,
-            halt_enter: 18,
-            exit_quiet_ticks: 4,
-            pressure_decay: 1,
-        }
-    }
 }
 
 impl PolicyConfig {
-    /// A configuration with the engine armed and default thresholds.
+    /// A configuration with the engine armed.
     pub fn enabled() -> Self {
-        PolicyConfig {
-            enabled: true,
-            ..PolicyConfig::default()
-        }
-    }
-
-    /// Pressure required to *enter* `tier` (raise into it from below).
-    /// `Full` is the resting state and needs none.
-    pub fn enter_threshold(&self, tier: DegradationTier) -> u32 {
-        match tier {
-            DegradationTier::Full => 0,
-            DegradationTier::ShedNonCritical => self.shed_enter,
-            DegradationTier::CriticalOnly => self.critical_enter,
-            DegradationTier::SafeHalt => self.halt_enter,
-        }
-    }
-
-    /// Pressure at or below which the platform may *leave* `tier` (step
-    /// down out of it). Strictly below the entry threshold — this gap is
-    /// the hysteresis band.
-    pub fn exit_threshold(&self, tier: DegradationTier) -> u32 {
-        self.enter_threshold(tier) / 2
+        PolicyConfig { enabled: true }
     }
 }
 
@@ -291,7 +274,6 @@ impl AvailabilityReport {
 /// The stateful response policy engine. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct ResponsePolicy {
-    config: PolicyConfig,
     tier: DegradationTier,
     /// Severity-weighted incident pressure (raises tiers; decays when
     /// quiet).
@@ -315,11 +297,16 @@ pub struct ResponsePolicy {
     noncritical_delivered: u64,
 }
 
+impl Default for ResponsePolicy {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ResponsePolicy {
     /// Creates an engine at `Full` posture with zero pressure.
-    pub fn new(config: PolicyConfig) -> Self {
+    pub fn new() -> Self {
         ResponsePolicy {
-            config,
             tier: DegradationTier::Full,
             pressure: 0,
             quiet_ticks: 0,
@@ -337,11 +324,6 @@ impl ResponsePolicy {
             noncritical_offered: 0,
             noncritical_delivered: 0,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &PolicyConfig {
-        &self.config
     }
 
     /// The current degradation tier.
@@ -379,11 +361,10 @@ impl ResponsePolicy {
         sink: &mut dyn StageSink,
         decisions: &mut Vec<PolicyDecision>,
     ) {
-        let cooldown = self.config.breaker_cooldown;
         let breaker = self.breaker_mut(key);
-        if breaker.state == BreakerState::Open && now >= breaker.opened_at + cooldown {
+        if breaker.state == BreakerState::Open && now >= breaker.opened_at + BREAKER_COOLDOWN {
             breaker.state = BreakerState::HalfOpen;
-            breaker.half_open_at = breaker.opened_at + cooldown;
+            breaker.half_open_at = breaker.opened_at + BREAKER_COOLDOWN;
             sink.record_span(now, Stage::Policy, policy_code::BREAKER_HALF_OPEN, 1);
             decisions.push(PolicyDecision::BreakerHalfOpen { key });
         }
@@ -427,11 +408,10 @@ impl ResponsePolicy {
     ) -> Vec<PolicyDecision> {
         let mut decisions = Vec::new();
         self.settle_breaker(key, now, sink, &mut decisions);
-        let threshold = self.config.breaker_trip_threshold;
         let breaker = self.breaker_mut(key);
         breaker.faults = breaker.faults.saturating_add(1);
         let trips = match breaker.state {
-            BreakerState::Closed if breaker.faults >= threshold => true,
+            BreakerState::Closed if breaker.faults >= BREAKER_TRIP_THRESHOLD => true,
             BreakerState::HalfOpen => true, // failed probe
             _ => false,
         };
@@ -446,7 +426,7 @@ impl ResponsePolicy {
         self.pressure = self.pressure.saturating_add(severity_weight.max(1));
         self.quiet_ticks = 0;
         if self.tier != DegradationTier::SafeHalt
-            && self.pressure >= self.config.enter_threshold(self.tier.raised())
+            && self.pressure >= enter_threshold(self.tier.raised())
         {
             self.raise_tier(now, sink, &mut decisions);
         }
@@ -520,14 +500,15 @@ impl ResponsePolicy {
     pub fn quiet_tick(&mut self, now: SimTime, sink: &mut dyn StageSink) -> Vec<PolicyDecision> {
         let mut decisions = Vec::new();
         self.quiet_ticks = self.quiet_ticks.saturating_add(1);
-        self.pressure = self.pressure.saturating_sub(self.config.pressure_decay);
+        self.pressure = self.pressure.saturating_sub(PRESSURE_DECAY);
 
         let keys: Vec<BreakerKey> = self.breakers.iter().map(|(k, _)| *k).collect();
-        let cooldown = self.config.breaker_cooldown;
         for key in keys {
             self.settle_breaker(key, now, sink, &mut decisions);
             let breaker = self.breaker_mut(key);
-            if breaker.state == BreakerState::HalfOpen && now >= breaker.half_open_at + cooldown {
+            if breaker.state == BreakerState::HalfOpen
+                && now >= breaker.half_open_at + BREAKER_COOLDOWN
+            {
                 breaker.state = BreakerState::Closed;
                 breaker.faults = 0;
                 self.breaker_resets += 1;
@@ -537,8 +518,8 @@ impl ResponsePolicy {
         }
 
         if self.tier > DegradationTier::Full
-            && self.quiet_ticks >= self.config.exit_quiet_ticks
-            && self.pressure <= self.config.exit_threshold(self.tier)
+            && self.quiet_ticks >= EXIT_QUIET_TICKS
+            && self.pressure <= exit_threshold(self.tier)
         {
             let from = self.tier;
             let to = from.lowered();
@@ -599,13 +580,9 @@ mod tests {
         SimTime::at_cycle(cycle)
     }
 
-    fn armed() -> ResponsePolicy {
-        ResponsePolicy::new(PolicyConfig::enabled())
-    }
-
     #[test]
     fn breaker_trips_after_threshold_and_suppresses_globals() {
-        let mut p = armed();
+        let mut p = ResponsePolicy::new();
         let mut sink = NullSink;
         let key = BreakerKey::Task(TaskId(1));
         for i in 0..2 {
@@ -644,14 +621,14 @@ mod tests {
 
     #[test]
     fn breaker_cooldown_half_open_then_closes_clean() {
-        let mut p = armed();
+        let mut p = ResponsePolicy::new();
         let mut sink = NullSink;
         let key = BreakerKey::Network;
         for i in 0..3 {
             p.on_incident(key, 1, t(1_000 + i), &mut sink);
         }
         assert_eq!(p.breaker_state(key), Some(BreakerState::Open));
-        let cooldown = p.config().breaker_cooldown.as_cycles();
+        let cooldown = BREAKER_COOLDOWN.as_cycles();
         // cooldown expiry → half-open (observed lazily from a quiet tick)
         p.quiet_tick(t(1_002 + cooldown), &mut sink);
         assert_eq!(p.breaker_state(key), Some(BreakerState::HalfOpen));
@@ -668,13 +645,13 @@ mod tests {
 
     #[test]
     fn half_open_probe_failure_reopens() {
-        let mut p = armed();
+        let mut p = ResponsePolicy::new();
         let mut sink = NullSink;
         let key = BreakerKey::Platform;
         for i in 0..3 {
             p.on_incident(key, 1, t(1_000 + i), &mut sink);
         }
-        let cooldown = p.config().breaker_cooldown.as_cycles();
+        let cooldown = BREAKER_COOLDOWN.as_cycles();
         let decisions = p.on_incident(key, 1, t(2_000 + cooldown), &mut sink);
         // settled to half-open, then the fault re-opened it
         assert!(decisions
@@ -688,7 +665,7 @@ mod tests {
 
     #[test]
     fn pressure_raises_tiers_one_step_at_a_time() {
-        let mut p = armed();
+        let mut p = ResponsePolicy::new();
         let mut sink = NullSink;
         let decisions = p.on_incident(BreakerKey::Platform, 3, t(1_000), &mut sink);
         assert_eq!(
@@ -698,7 +675,7 @@ mod tests {
                 to: DegradationTier::ShedNonCritical
             }]
         );
-        // pressure 3 < critical_enter 9: no second raise yet
+        // pressure 3 < CRITICAL_ENTER 9: no second raise yet
         assert_eq!(p.tier(), DegradationTier::ShedNonCritical);
         p.on_incident(BreakerKey::Platform, 3, t(2_000), &mut sink);
         assert_eq!(p.tier(), DegradationTier::ShedNonCritical);
@@ -715,11 +692,11 @@ mod tests {
 
     #[test]
     fn hysteresis_requires_holdoff_and_low_pressure() {
-        let mut p = armed();
+        let mut p = ResponsePolicy::new();
         let mut sink = NullSink;
         p.on_incident(BreakerKey::Platform, 3, t(1_000), &mut sink);
         assert_eq!(p.tier(), DegradationTier::ShedNonCritical);
-        // three quiet ticks: not enough holdoff (exit_quiet_ticks = 4)
+        // three quiet ticks: not enough holdoff (EXIT_QUIET_TICKS = 4)
         for i in 1..=3 {
             p.quiet_tick(t(1_000 + 5_000 * i), &mut sink);
             assert_eq!(p.tier(), DegradationTier::ShedNonCritical);
@@ -736,7 +713,7 @@ mod tests {
     fn alternating_signal_never_flaps() {
         // incident, quiet, incident, quiet … — the holdoff means the tier
         // only ever moves up, never down, so no flapping
-        let mut p = armed();
+        let mut p = ResponsePolicy::new();
         let mut sink = NullSink;
         let mut lowest_after_first_raise = DegradationTier::SafeHalt;
         let mut raised = false;
@@ -761,7 +738,7 @@ mod tests {
 
     #[test]
     fn recovery_is_one_step_per_holdoff() {
-        let mut p = armed();
+        let mut p = ResponsePolicy::new();
         let mut sink = NullSink;
         for i in 0..8u64 {
             p.on_incident(BreakerKey::Platform, 3, t(1_000 + i), &mut sink);
@@ -790,7 +767,7 @@ mod tests {
 
     #[test]
     fn degrade_requests_cap_at_critical_only() {
-        let mut p = armed();
+        let mut p = ResponsePolicy::new();
         let mut sink = NullSink;
         let key = BreakerKey::Task(TaskId(2));
         p.request_degrade(key, t(1_000), &mut sink);
@@ -807,7 +784,7 @@ mod tests {
 
     #[test]
     fn availability_accounting_and_report() {
-        let mut p = armed();
+        let mut p = ResponsePolicy::new();
         let mut sink = NullSink;
         p.sample_service(1, 1, 2, 2);
         p.on_incident(BreakerKey::Platform, 3, t(5_000), &mut sink);
@@ -830,7 +807,7 @@ mod tests {
     #[test]
     fn engine_is_deterministic() {
         let drive = || {
-            let mut p = armed();
+            let mut p = ResponsePolicy::new();
             let mut sink = NullSink;
             let mut log = Vec::new();
             for i in 0..200u64 {

@@ -4,7 +4,8 @@
 //! signal, and the engine is a pure deterministic function of its input
 //! sequence (so campaign results cannot depend on worker count).
 
-use cres_response::{BreakerKey, PolicyConfig, PolicyDecision, ResponsePolicy};
+use cres_response::policy::EXIT_QUIET_TICKS;
+use cres_response::{BreakerKey, PolicyDecision, ResponsePolicy};
 use cres_sim::{NullSink, SimTime};
 use cres_ssm::DegradationTier;
 use proptest::prelude::*;
@@ -41,8 +42,8 @@ fn key_for(resource: u8) -> BreakerKey {
 
 /// Drives a script through a fresh engine, returning every decision with
 /// the tick index it fired on.
-fn drive(config: PolicyConfig, script: &[u16]) -> Vec<(usize, PolicyDecision)> {
-    let mut policy = ResponsePolicy::new(config);
+fn drive(script: &[u16]) -> Vec<(usize, PolicyDecision)> {
+    let mut policy = ResponsePolicy::new();
     let mut sink = NullSink;
     let mut out = Vec::new();
     for (tick, &code) in script.iter().enumerate() {
@@ -82,7 +83,7 @@ proptest! {
         script in proptest::collection::vec(any::<u16>(), 0..400)
     ) {
         let mut tier = DegradationTier::Full;
-        for (_, decision) in drive(PolicyConfig::enabled(), &script) {
+        for (_, decision) in drive(&script) {
             match decision {
                 PolicyDecision::TierRaised { from, to } => {
                     prop_assert_eq!(from, tier);
@@ -102,7 +103,7 @@ proptest! {
     }
 
     /// Hysteresis never flaps: a step down requires a full quiet holdoff
-    /// (`exit_quiet_ticks` incident-free ticks since the last incident
+    /// ([`EXIT_QUIET_TICKS`] incident-free ticks since the last incident
     /// *and* since the last step down), and a step back up requires a new
     /// incident — an alternating signal can never produce lower/raise
     /// churn inside one holdoff window.
@@ -110,8 +111,7 @@ proptest! {
     fn hysteresis_never_flaps(
         script in proptest::collection::vec(any::<u16>(), 1..400)
     ) {
-        let config = PolicyConfig::enabled();
-        let decisions = drive(config, &script);
+        let decisions = drive(&script);
         let mut last_disturbance: Option<usize> = None; // incident or step-down tick
         let mut incident_since_lower = true;
         for (tick, &code) in script.iter().enumerate() {
@@ -124,7 +124,7 @@ proptest! {
                     PolicyDecision::TierLowered { .. } => {
                         let quiet_run = tick - last_disturbance.map_or(0, |t| t + 1) + 1;
                         prop_assert!(
-                            quiet_run >= config.exit_quiet_ticks as usize,
+                            quiet_run >= EXIT_QUIET_TICKS as usize,
                             "lowered after only {quiet_run} quiet ticks at tick {tick}"
                         );
                         last_disturbance = Some(tick);
@@ -150,12 +150,12 @@ proptest! {
     fn engine_is_deterministic_over_any_script(
         script in proptest::collection::vec(any::<u16>(), 0..300)
     ) {
-        let a = drive(PolicyConfig::enabled(), &script);
-        let b = drive(PolicyConfig::enabled(), &script);
+        let a = drive(&script);
+        let b = drive(&script);
         prop_assert_eq!(a, b);
 
         let run_report = |script: &[u16]| {
-            let mut policy = ResponsePolicy::new(PolicyConfig::enabled());
+            let mut policy = ResponsePolicy::new();
             let mut sink = NullSink;
             for (tick, &code) in script.iter().enumerate() {
                 let now = SimTime::at_cycle(tick as u64 * 5_000);
@@ -181,7 +181,7 @@ proptest! {
         script in proptest::collection::vec(any::<u16>(), 1..200),
         running in proptest::collection::vec(any::<bool>(), 1..200)
     ) {
-        let mut policy = ResponsePolicy::new(PolicyConfig::enabled());
+        let mut policy = ResponsePolicy::new();
         let mut sink = NullSink;
         for (tick, &code) in script.iter().enumerate() {
             let now = SimTime::at_cycle(tick as u64 * 5_000);

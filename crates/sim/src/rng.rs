@@ -144,14 +144,6 @@ impl DetRng {
         mean + std_dev * mag * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// Fills `buf` with random bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-
     /// Returns a random permutation of `0..len` (Fisher–Yates).
     pub fn permutation(&mut self, len: usize) -> Vec<usize> {
         let mut v: Vec<usize> = (0..len).collect();
@@ -267,14 +259,6 @@ mod tests {
         let mut sorted = p.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fill_bytes_fills_odd_lengths() {
-        let mut r = DetRng::seed_from(10);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

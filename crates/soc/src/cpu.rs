@@ -75,11 +75,6 @@ impl Core {
         }
     }
 
-    /// Removes a task from this core.
-    pub fn unassign(&mut self, task: TaskId) {
-        self.tasks.retain(|t| *t != task);
-    }
-
     /// Tasks assigned to this core.
     pub fn tasks(&self) -> &[TaskId] {
         &self.tasks
@@ -162,7 +157,5 @@ mod tests {
         c.assign(TaskId(2));
         c.assign(TaskId(1)); // duplicate ignored
         assert_eq!(c.tasks(), &[TaskId(1), TaskId(2)]);
-        c.unassign(TaskId(1));
-        assert_eq!(c.tasks(), &[TaskId(2)]);
     }
 }

@@ -280,11 +280,6 @@ impl MemoryMap {
         let off = (addr.0 - region.range.start.0) as usize;
         region.data[off..off + len as usize].to_vec()
     }
-
-    /// Zero-fills a whole region (key zeroisation / reset semantics).
-    pub fn wipe_region(&mut self, id: RegionId) {
-        self.regions[id.0 as usize].data.fill(0);
-    }
 }
 
 #[cfg(test)]
@@ -393,19 +388,6 @@ mod tests {
         // physical attacker writes anyway
         m.write_unchecked(Addr(0x5000_0000), &[0xAA]);
         assert_eq!(m.read_unchecked(Addr(0x5000_0000), 1), vec![0xAA]);
-    }
-
-    #[test]
-    fn wipe_region_zeroises() {
-        let mut m = map();
-        m.write(MasterId::CPU0, Addr(0x2000_0000), &[7; 16])
-            .unwrap();
-        let sram = m.region_by_name("sram").unwrap().id();
-        m.wipe_region(sram);
-        assert_eq!(
-            m.read(MasterId::CPU0, Addr(0x2000_0000), 16).unwrap(),
-            vec![0; 16]
-        );
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl EnvSensors {
         self.tamper = Some(mode);
     }
 
-    /// Clears tampering (physical recovery).
-    pub fn clear_tamper(&mut self) {
-        self.tamper = None;
-    }
-
     /// True while tampered.
     pub fn is_tampered(&self) -> bool {
         self.tamper.is_some()
@@ -122,16 +117,6 @@ mod tests {
         // other channels stay nominal
         assert!((r.clock_mhz - 100.0).abs() < 1.0);
         assert!(env.is_tampered());
-    }
-
-    #[test]
-    fn clear_tamper_restores() {
-        let mut env = EnvSensors::default();
-        let mut rng = DetRng::seed_from(3);
-        env.tamper(EnvTamper::Thermal(120.0));
-        assert_eq!(env.sample(SimTime::ZERO, &mut rng).temp_c, 120.0);
-        env.clear_tamper();
-        assert!((env.sample(SimTime::ZERO, &mut rng).temp_c - 45.0).abs() < 3.0);
     }
 
     #[test]

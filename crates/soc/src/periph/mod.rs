@@ -7,7 +7,6 @@
 pub mod actuator;
 pub mod dma;
 pub mod env;
-pub mod irq;
 pub mod nic;
 pub mod otp;
 pub mod sensor;
@@ -17,7 +16,6 @@ pub mod watchdog;
 pub use actuator::Actuator;
 pub use dma::{DmaDescriptor, DmaEngine};
 pub use env::{EnvReading, EnvSensors, EnvTamper};
-pub use irq::{IrqController, IrqLine};
 pub use nic::{Nic, Packet, PacketKind};
 pub use otp::OtpFuses;
 pub use sensor::{Sensor, SensorSpoof};

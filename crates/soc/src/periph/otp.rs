@@ -1,9 +1,8 @@
-//! One-time-programmable fuses and monotonic counters.
+//! One-time-programmable fuses.
 //!
 //! OTP is the hardware root of the chain of trust: the boot ROM's public-key
-//! fingerprint and the anti-rollback counters live here. Write-once and
-//! monotonicity are enforced by construction — the two properties whose
-//! absence enables the downgrade attacks of §IV (experiment E10).
+//! fingerprint lives here. Write-once is enforced by construction. The
+//! anti-rollback counters are the boot crate's `MemArbCounters`.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -14,29 +13,12 @@ use std::fmt;
 pub enum OtpError {
     /// The named fuse word was already programmed.
     AlreadyProgrammed(String),
-    /// Attempted to decrease a monotonic counter.
-    CounterRegression {
-        /// Counter name.
-        name: String,
-        /// Current value.
-        current: u64,
-        /// Rejected new value.
-        attempted: u64,
-    },
 }
 
 impl fmt::Display for OtpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OtpError::AlreadyProgrammed(n) => write!(f, "fuse {n:?} already programmed"),
-            OtpError::CounterRegression {
-                name,
-                current,
-                attempted,
-            } => write!(
-                f,
-                "monotonic counter {name:?} cannot go from {current} to {attempted}"
-            ),
         }
     }
 }
@@ -47,7 +29,6 @@ impl std::error::Error for OtpError {}
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OtpFuses {
     words: HashMap<String, Vec<u8>>,
-    counters: HashMap<String, u64>,
 }
 
 impl OtpFuses {
@@ -72,30 +53,6 @@ impl OtpFuses {
     /// Reads a programmed fuse word.
     pub fn read(&self, name: &str) -> Option<&[u8]> {
         self.words.get(name).map(Vec::as_slice)
-    }
-
-    /// Current value of a monotonic counter (0 when never advanced).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Advances a monotonic counter to `value`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OtpError::CounterRegression`] when `value` is below the
-    /// current value (equal is a no-op and allowed).
-    pub fn advance_counter(&mut self, name: &str, value: u64) -> Result<(), OtpError> {
-        let current = self.counter(name);
-        if value < current {
-            return Err(OtpError::CounterRegression {
-                name: name.to_string(),
-                current,
-                attempted: value,
-            });
-        }
-        self.counters.insert(name.to_string(), value);
-        Ok(())
     }
 }
 
@@ -122,34 +79,5 @@ mod tests {
         );
         // original value intact
         assert_eq!(otp.read("k"), Some([1].as_slice()));
-    }
-
-    #[test]
-    fn counters_only_advance() {
-        let mut otp = OtpFuses::new();
-        assert_eq!(otp.counter("arb"), 0);
-        otp.advance_counter("arb", 3).unwrap();
-        otp.advance_counter("arb", 3).unwrap(); // equal is fine
-        otp.advance_counter("arb", 7).unwrap();
-        assert_eq!(otp.counter("arb"), 7);
-        let err = otp.advance_counter("arb", 5).unwrap_err();
-        assert!(matches!(
-            err,
-            OtpError::CounterRegression {
-                current: 7,
-                attempted: 5,
-                ..
-            }
-        ));
-        assert_eq!(otp.counter("arb"), 7);
-    }
-
-    #[test]
-    fn counters_are_independent() {
-        let mut otp = OtpFuses::new();
-        otp.advance_counter("a", 5).unwrap();
-        otp.advance_counter("b", 1).unwrap();
-        assert_eq!(otp.counter("a"), 5);
-        assert_eq!(otp.counter("b"), 1);
     }
 }

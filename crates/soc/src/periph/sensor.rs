@@ -91,11 +91,6 @@ impl Sensor {
         self.spoof = Some(mode);
     }
 
-    /// Removes any spoof (recovery).
-    pub fn clear_spoof(&mut self) {
-        self.spoof = None;
-    }
-
     /// True while spoofed.
     pub fn is_spoofed(&self) -> bool {
         self.spoof.is_some()
@@ -144,9 +139,6 @@ mod tests {
         s.spoof(SensorSpoof::Fixed(62.5));
         assert_eq!(s.read(SimTime::ZERO, &mut rng), 62.5);
         assert!(s.is_spoofed());
-        s.clear_spoof();
-        assert!(!s.is_spoofed());
-        assert_ne!(s.read(SimTime::ZERO, &mut rng), 62.5);
     }
 
     #[test]

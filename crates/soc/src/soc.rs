@@ -9,10 +9,7 @@ use crate::addr::{Addr, MasterId, Perms};
 use crate::bus::Bus;
 use crate::cpu::Core;
 use crate::mem::MemoryMap;
-use crate::periph::{
-    Actuator, DmaEngine, EnvSensors, IrqController, IrqLine, Nic, OtpFuses, Packet, Sensor, Uart,
-    Watchdog,
-};
+use crate::periph::{Actuator, DmaEngine, EnvSensors, Nic, OtpFuses, Sensor, Uart, Watchdog};
 use crate::task::{StepOutcome, Task, TaskId};
 use cres_sim::{DetRng, SimDuration, SimTime};
 
@@ -66,8 +63,6 @@ pub struct Soc {
     pub otp: OtpFuses,
     /// DMA engine.
     pub dma: DmaEngine,
-    /// Interrupt controller.
-    pub irq: IrqController,
     /// Each task with the index of the core it runs on, in insertion
     /// order; a platform runs a handful, so lookups scan.
     tasks: Vec<(Task, usize)>,
@@ -91,14 +86,12 @@ impl Soc {
         self.tasks.push((task, core_idx));
     }
 
-    /// The task with id `id` and its core index.
-    fn entry(&self, id: TaskId) -> Option<&(Task, usize)> {
-        self.tasks.iter().find(|(t, _)| t.id() == id)
-    }
-
     /// Looks up a task.
     pub fn task(&self, id: TaskId) -> Option<&Task> {
-        self.entry(id).map(|(t, _)| t)
+        self.tasks
+            .iter()
+            .find(|(t, _)| t.id() == id)
+            .map(|(t, _)| t)
     }
 
     /// Mutable task access (countermeasures and attack injectors).
@@ -114,11 +107,6 @@ impl Soc {
         let mut ids: Vec<TaskId> = self.tasks.iter().map(|(t, _)| t.id()).collect();
         ids.sort();
         ids
-    }
-
-    /// The core index a task runs on.
-    pub fn core_of(&self, id: TaskId) -> Option<usize> {
-        self.entry(id).map(|&(_, core)| core)
     }
 
     /// Steps a task: returns `None` when the task or its core cannot run at
@@ -152,17 +140,6 @@ impl Soc {
     /// Samples the environmental block at `now`.
     pub fn read_env(&mut self, now: SimTime) -> crate::periph::EnvReading {
         self.env.sample(now, &mut self.rng)
-    }
-
-    /// Delivers an inbound packet through the NIC, raising the RX interrupt
-    /// when it is accepted. This is the front door network traffic should
-    /// use; writing to `nic` directly bypasses the interrupt path.
-    pub fn deliver_packet(&mut self, packet: Packet) -> bool {
-        let accepted = self.nic.deliver(packet);
-        if accepted {
-            self.irq.raise(IrqLine::NicRx);
-        }
-        accepted
     }
 
     /// Resets every application core for `duration` — the baseline's
@@ -319,7 +296,6 @@ impl SocBuilder {
             env: EnvSensors::default(),
             otp: OtpFuses::new(),
             dma: DmaEngine::new(),
-            irq: IrqController::new(),
             tasks: Vec::new(),
             rng: DetRng::seed_from(self.seed),
         }
@@ -397,7 +373,6 @@ mod tests {
         let mut soc = SocBuilder::with_standard_layout(0).build();
         assert!(soc.step_task(TaskId(99), SimTime::ZERO).is_none());
         assert!(soc.task(TaskId(99)).is_none());
-        assert!(soc.core_of(TaskId(99)).is_none());
     }
 
     #[test]
@@ -419,32 +394,6 @@ mod tests {
         assert!((v - 20.0).abs() < 2.0);
         let env = soc.read_env(SimTime::ZERO);
         assert!((env.voltage - 3.3).abs() < 0.2);
-    }
-
-    #[test]
-    fn packet_delivery_raises_nic_irq() {
-        use crate::periph::{IrqLine, PacketKind};
-        let mut soc = SocBuilder::with_standard_layout(0).build();
-        assert!(!soc.irq.is_pending(IrqLine::NicRx));
-        soc.deliver_packet(crate::periph::Packet {
-            src: 1,
-            dst: 2,
-            len: 64,
-            kind: PacketKind::Command,
-            at: SimTime::ZERO,
-        });
-        assert!(soc.irq.is_pending(IrqLine::NicRx));
-        soc.irq.acknowledge(IrqLine::NicRx);
-        // quarantined NIC drops the packet: no interrupt
-        soc.nic.quarantine();
-        soc.deliver_packet(crate::periph::Packet {
-            src: 1,
-            dst: 2,
-            len: 64,
-            kind: PacketKind::Command,
-            at: SimTime::ZERO,
-        });
-        assert!(!soc.irq.is_pending(IrqLine::NicRx));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   protection (off = the downgrade vulnerability),
 //! * [`keystore`] — the secure-storage TA: handles out, secrets never
 //!   returned to the normal world,
-//! * [`tee`] — worlds, SMC sessions and the deployment flag that makes
+//! * [`tee`] — SMC sessions and the deployment flag that makes
 //!   side-channel extraction possible ([`tee::TeeDeployment::SharedResources`]).
 
 pub mod keystore;
@@ -22,4 +22,4 @@ pub mod tee;
 
 pub use keystore::Keystore;
 pub use ta::{TaManifest, TaSigner};
-pub use tee::{SessionId, Tee, TeeDeployment, TeeError, World};
+pub use tee::{SessionId, Tee, TeeDeployment, TeeError};

@@ -1,4 +1,4 @@
-//! The TEE proper: worlds, sessions and the shared-resource weakness.
+//! The TEE proper: sessions and the shared-resource weakness.
 //!
 //! Two deployment shapes matter to the paper:
 //!
@@ -18,15 +18,6 @@ use cres_crypto::hmac::HmacSha256;
 use cres_crypto::rsa::RsaPublicKey;
 use std::collections::HashMap;
 use std::fmt;
-
-/// Which world a caller executes in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum World {
-    /// The rich OS / application world.
-    Normal,
-    /// The trusted world (or the SSM, in the isolated deployment).
-    Secure,
-}
 
 /// Physical deployment of the secure world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +54,6 @@ pub enum TeeError {
     },
     /// The session id is not open.
     BadSession,
-    /// The operation requires the secure world.
-    SecureWorldOnly,
     /// The named key does not exist.
     UnknownKey(String),
 }
@@ -78,7 +67,6 @@ impl fmt::Display for TeeError {
                 write!(f, "ta downgrade rejected: {offered} < {installed}")
             }
             TeeError::BadSession => write!(f, "invalid session"),
-            TeeError::SecureWorldOnly => write!(f, "operation requires the secure world"),
             TeeError::UnknownKey(n) => write!(f, "unknown key {n:?}"),
         }
     }
@@ -172,11 +160,6 @@ impl Tee {
         self.sessions.remove(&id);
     }
 
-    /// Number of open sessions.
-    pub fn open_sessions(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// Stores a key via an open keystore session.
     ///
     /// # Errors
@@ -207,33 +190,6 @@ impl Tee {
         self.require_session(session, "keystore")?;
         self.keystore
             .mac(name, data)
-            .ok_or_else(|| TeeError::UnknownKey(name.to_string()))
-    }
-
-    /// Direct keystore access for the secure world (SSM wiring).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TeeError::SecureWorldOnly`] for normal-world callers.
-    pub fn keystore_mut(&mut self, world: World) -> Result<&mut Keystore, TeeError> {
-        match world {
-            World::Secure => Ok(&mut self.keystore),
-            World::Normal => Err(TeeError::SecureWorldOnly),
-        }
-    }
-
-    /// Raw key export for the secure world only.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TeeError::SecureWorldOnly`] or [`TeeError::UnknownKey`].
-    pub fn export_key(&self, world: World, name: &str) -> Result<Vec<u8>, TeeError> {
-        if world != World::Secure {
-            return Err(TeeError::SecureWorldOnly);
-        }
-        self.keystore
-            .export(name)
-            .map(<[u8]>::to_vec)
             .ok_or_else(|| TeeError::UnknownKey(name.to_string()))
     }
 
@@ -316,7 +272,6 @@ mod tests {
         assert_eq!(tag, HmacSha256::mac(b"root-key", b"msg"));
         tee.close_session(s);
         assert!(tee.mac_with_key(s, "device", b"msg").is_err());
-        assert_eq!(tee.open_sessions(), 0);
     }
 
     #[test]
@@ -326,18 +281,6 @@ mod tests {
             tee.open_session("payments"),
             Err(TeeError::UnknownTa("payments".into()))
         );
-    }
-
-    #[test]
-    fn normal_world_cannot_export_keys() {
-        let (mut tee, _) = tee_with_keystore(TeeDeployment::IsolatedCoprocessor, true);
-        let s = tee.open_session("keystore").unwrap();
-        tee.store_key(s, "k", b"secret").unwrap();
-        assert_eq!(
-            tee.export_key(World::Normal, "k"),
-            Err(TeeError::SecureWorldOnly)
-        );
-        assert_eq!(tee.export_key(World::Secure, "k").unwrap(), b"secret");
     }
 
     #[test]
