@@ -10,6 +10,9 @@
 //!   throughput (tunable via `CRES_GATE_MIN_RATIO`, default `0.9`, for
 //!   runners with known-different performance envelopes).
 //!
+//! A fresh row the committed file does not have yet is listed in the table
+//! as "new, not gated"; the re-bless that commits it starts gating it.
+//!
 //! Prints a before/after markdown table; when `GITHUB_STEP_SUMMARY` is set
 //! the table is appended there too, so the regression is readable from the
 //! job summary without digging through logs.
@@ -113,29 +116,17 @@ fn min_throughput_ratio() -> f64 {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.len() != 3 {
-        eprintln!("usage: bench_gate <committed BENCH_pipeline.json> <fresh BENCH_pipeline.json>");
-        std::process::exit(2);
-    }
-    let read = |path: &str| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: reading {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let committed = parse_benches(&read(&args[1]), &args[1]);
-    let fresh = parse_benches(&read(&args[2]), &args[2]);
-    let min_ratio = min_throughput_ratio();
-
+/// Gates `fresh` against `committed`: the before/after markdown table and
+/// one line per regression. A fresh row the committed file lacks is
+/// listed as new and not gated; it is gated once a re-bless commits it.
+fn compare(committed: &[Entry], fresh: &[Entry], min_ratio: f64) -> (String, Vec<String>) {
     let mut failures: Vec<String> = Vec::new();
     let mut table = String::from(
         "| bench | ns/iter (was → now) | throughput (was → now) | allocs/iter (was → now) | verdict |\n\
          |---|---|---|---|---|\n",
     );
 
-    for was in &committed {
+    for was in committed {
         let Some(now) = fresh.iter().find(|e| e.name == was.name) else {
             failures.push(format!(
                 "{}: present in committed artifact but missing from fresh run",
@@ -185,7 +176,40 @@ fn main() {
         )
         .expect("String write cannot fail");
     }
+    for now in fresh
+        .iter()
+        .filter(|now| committed.iter().all(|was| was.name != now.name))
+    {
+        writeln!(
+            table,
+            "| {} | — → {:.0} | — → {} | — → {:.1} | new, not gated |",
+            now.name,
+            now.median_ns_per_iter,
+            fmt_throughput(now.throughput_per_sec),
+            now.allocs_per_iter
+        )
+        .expect("String write cannot fail");
+    }
+    (table, failures)
+}
 
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    if args.len() != 3 {
+        eprintln!("usage: bench_gate <committed BENCH_pipeline.json> <fresh BENCH_pipeline.json>");
+        std::process::exit(2);
+    }
+    let read = |path: &str| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("error: reading {path}: {e}");
+            std::process::exit(2);
+        })
+    };
+    let committed = parse_benches(&read(&args[1]), &args[1]);
+    let fresh = parse_benches(&read(&args[2]), &args[2]);
+    let min_ratio = min_throughput_ratio();
+
+    let (table, failures) = compare(&committed, &fresh, min_ratio);
     let verdict_line = if failures.is_empty() {
         "**bench gate passed** — no throughput or allocation regressions".to_string()
     } else {
@@ -246,6 +270,24 @@ mod tests {
         assert_eq!(entries[1].name, "platform_slice_100k");
         assert_eq!(entries[1].throughput_per_sec, None);
         assert_eq!(entries[1].allocs_per_iter, 26541.0);
+    }
+
+    #[test]
+    fn fresh_rows_missing_from_the_committed_file_are_listed_not_gated() {
+        let committed = parse_benches(SAMPLE, "sample");
+        let mut fresh = committed.clone();
+        fresh.push(parse_line(
+            r#"    {"name": "provision_cell", "median_ns_per_iter": 2500000, "throughput_per_sec": null, "allocs_per_iter": 922.0}"#,
+        ));
+        let (table, failures) = compare(&committed, &fresh, 0.9);
+        assert!(failures.is_empty(), "{failures:?}");
+        assert!(
+            table.contains("| provision_cell | — → 2500000 | — → — | — → 922.0 | new, not gated |"),
+            "{table}"
+        );
+        // a committed row the fresh run lost still fails
+        let (_, failures) = compare(&fresh, &committed, 0.9);
+        assert_eq!(failures.len(), 1, "{failures:?}");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Runs the hot-path benchmark workloads (steady-state platform tick,
 //! monitor→SSM event pipeline, evidence append, Merkle seal, full platform
-//! slice, end-to-end campaign) under a counting global allocator and writes
+//! slice, end-to-end campaign, cold provisioning, fleet) under a counting
+//! global allocator and writes
 //! `BENCH_pipeline.json`: per-bench median ns/iter, derived throughput and
 //! allocations per iteration, next to the committed pre-optimisation
 //! baseline so CI and future PRs can track the trajectory.
@@ -15,6 +16,7 @@
 use cres_fleet::{run_fleet, FleetConfig};
 use cres_monitor::bus_mon::AccessWindow;
 use cres_monitor::{BusPolicyMonitor, ResourceMonitor};
+use cres_platform::provision::provision;
 use cres_platform::{
     Platform, PlatformConfig, PlatformPool, PlatformProfile, Scenario, ScenarioRunner,
 };
@@ -345,11 +347,23 @@ fn bench_campaign() -> BenchResult {
     )
 }
 
+/// Cold provisioning: one `provision` of a fixed cell per iteration — RSA
+/// key generation, image and TA signing and TEE set-up, the cost every
+/// fresh pool and every un-pooled run pays once per cell.
+fn bench_provision() -> BenchResult {
+    let config = PlatformConfig::new(PlatformProfile::CyberResilient, 8);
+    measure("provision_cell", None, 1, scaled(20), move || {
+        black_box(provision(&config));
+    })
+}
+
 /// Fleet throughput: devices simulated per wall-clock second through the
 /// sharded fleet runner (spec forking, pooled device runs, summary
 /// shipping, streaming SOC correlation). Runs single-worker so the number
 /// is schedule-stable across runners; `e15_fleet` reports the worker
-/// sweep.
+/// sweep. Every iteration starts from fresh pools, so each provisioning
+/// cell the fleet touches is provisioned cold once per iteration; the
+/// `provision_cell` row prices one such cell.
 fn bench_fleet() -> BenchResult {
     let devices: u32 = if cres_bench::fast_mode() { 12 } else { 48 };
     let mut config = FleetConfig::new(devices, 11);
@@ -450,12 +464,13 @@ fn enforce_gates(results: &[BenchResult]) {
         }
     }
     // The campaign-wall ratchet, matching `alloc_campaign`: a warm pooled
-    // 100k-cycle slice must never pay re-provisioning (~600k allocs), a
-    // boxed closure per scheduled event or an allocating task step again.
+    // 100k-cycle slice must never pay re-provisioning, a heap RSA step in
+    // boot verification, a boxed closure per scheduled event or an
+    // allocating task step again.
     let slice = get("platform_slice_100k");
-    if slice.allocs_per_iter > 1_000.0 {
+    if slice.allocs_per_iter > 500.0 {
         failures.push(format!(
-            "platform_slice_100k: {:.0} allocs/iter (ceiling 1000; pooling, the event queue or the task step regressed)",
+            "platform_slice_100k: {:.0} allocs/iter (ceiling 500; pooling, boot verification, the event queue or the task step regressed)",
             slice.allocs_per_iter
         ));
     }
@@ -511,6 +526,7 @@ fn main() {
         bench_merkle_seal(),
         bench_platform_slice(),
         bench_campaign(),
+        bench_provision(),
         bench_fleet(),
     ];
     print_deltas(&results);

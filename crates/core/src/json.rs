@@ -44,23 +44,36 @@ pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Appends `v` in decimal without going through `fmt` — the exporters
-/// render tens of thousands of integers per artifact, and the fmt
-/// machinery's per-argument overhead is the difference between an export
-/// that costs <1% of the run wall and one that costs 10% (`e16_observe`
-/// pins the budget).
-pub fn push_u64(out: &mut String, mut v: u64) {
+/// Appends `v` in decimal to a byte buffer, two digits per division and
+/// without `fmt`: the exporters render tens of thousands of integers per
+/// artifact (`e16_observe` budgets the export against the run wall), so
+/// they build bytes and check UTF-8 once, at the end.
+pub fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    /// "00", "01", …, "99" back to back.
+    const PAIRS: [u8; 200] = {
+        let mut pairs = [0; 200];
+        let mut i = 0;
+        while i < 100 {
+            pairs[2 * i] = b'0' + (i / 10) as u8;
+            pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+            i += 1;
+        }
+        pairs
+    };
     let mut buf = [0u8; 20];
     let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    while v >= 10 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
     }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
+    // the leading digit of an odd-length number, or a lone zero
+    if v > 0 || i == buf.len() {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&buf[i..]);
 }
 
 /// `f64` with Rust's shortest round-trip formatting, made self-describing:
@@ -536,6 +549,16 @@ mod tests {
             write_string(&mut out, &s);
             prop_assert!(out.bytes().all(|b| b >= 0x20), "raw control byte in {out:?}");
             prop_assert_eq!(unescape(&out), s);
+        }
+
+        #[test]
+        fn integers_match_fmt(v: u64, digits in 0u32..20) {
+            // every decimal length, not only the ~19-digit bulk of u64
+            for v in [v, v % 10u64.pow(digits), 10u64.pow(digits), 10u64.pow(digits) - 1] {
+                let mut out = b"x".to_vec();
+                push_u64(&mut out, v);
+                prop_assert_eq!(out, format!("x{v}").into_bytes());
+            }
         }
     }
 }

@@ -9,6 +9,10 @@
 //! (and the matching `platform_slice_100k` gate in `bench_report`) is the
 //! ratchet: it can go down, never up.
 //!
+//! A cold cell gets a ceiling too: one `provision` per benchmark
+//! provisioning seed, so RSA's modular exponentiation cannot go back to a
+//! heap multiply and division per step.
+//!
 //! Also pins the warm evidence-append path at **zero** allocations — the
 //! record's category/payload strings are inline [`cres_ssm::EvText`] now,
 //! and the incremental Merkle accumulator appends without rebuilding any
@@ -19,6 +23,7 @@
 //! allocations to the append window.
 
 use cres_platform::config::{PlatformConfig, PlatformProfile};
+use cres_platform::provision::provision;
 use cres_platform::runner::{Scenario, ScenarioRunner};
 use cres_platform::PlatformPool;
 use cres_sim::{SimDuration, SimTime};
@@ -26,12 +31,21 @@ use cres_ssm::EvidenceStore;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Hard ceiling for one warm pooled 100k-cycle run. Headroom over the
-/// measured count (513 in both the release and the test profile) without
-/// letting re-provisioning (~600k), wholesale buffer rebuilds, a boxed
-/// closure per scheduled event or an allocating task step (22,560 with a
-/// cloned block and a write buffer per step) sneak back in.
-const POOLED_RUN_ALLOC_CEILING: u64 = 1_000;
+/// Hard ceiling for one warm pooled 100k-cycle run: about twice the
+/// measured count (254 in both the release and the test profile; 513
+/// before boot verification's RSA stopped allocating per step). Keeps
+/// re-provisioning, wholesale buffer rebuilds, a boxed closure per
+/// scheduled event or an allocating task step (22,560 with a cloned block
+/// and a write buffer per step) from sneaking back in.
+const POOLED_RUN_ALLOC_CEILING: u64 = 500;
+
+/// Hard ceiling for one cold `provision` (RSA keygen, image and TA
+/// signing, TEE set-up): about twice the largest count measured at the
+/// benchmark's provisioning seeds 8, 11 and 1979 (922, 1,071 and 8,311 in
+/// both the release and the test profile; seed 1979's prime search draws
+/// the most candidates). The heap schoolbook exponentiation cost 175,756,
+/// 246,782 and 1,299,716.
+const COLD_PROVISION_ALLOC_CEILING: u64 = 16_000;
 
 struct CountingAlloc;
 
@@ -128,4 +142,20 @@ fn warm_evidence_append_is_allocation_free() {
         after - before
     );
     assert_eq!(store.records().len(), 1408);
+}
+
+#[test]
+fn cold_provisioning_stays_under_alloc_ceiling() {
+    for seed in [8, 11, 1979] {
+        let config = PlatformConfig::new(PlatformProfile::CyberResilient, seed);
+        let before = allocs();
+        let cell = provision(&config);
+        let allocs = allocs() - before;
+        assert_eq!(cell.vendor.public.modulus_len(), config.rsa_bits / 8);
+        assert!(
+            allocs <= COLD_PROVISION_ALLOC_CEILING,
+            "cold provisioning of seed {seed} performed {allocs} heap allocations \
+             (ceiling {COLD_PROVISION_ALLOC_CEILING}); RSA arithmetic regressed"
+        );
+    }
 }

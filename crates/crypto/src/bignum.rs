@@ -2,15 +2,61 @@
 //!
 //! A compact limb-vector implementation supporting exactly the operations
 //! RSA needs: comparison, add/sub, schoolbook multiplication, long division
-//! with remainder, modular exponentiation (square-and-multiply) and a
-//! modular inverse (extended binary GCD). Limbs are 32-bit so products fit
-//! in `u64` without carry gymnastics.
+//! with remainder, modular exponentiation and a modular inverse (extended
+//! Euclid). Limbs are 32-bit so products fit in `u64` without carry
+//! gymnastics.
 //!
-//! Performance note: deliberate simplicity over speed — RSA here protects a
-//! simulated platform at 512–1024-bit moduli, not production traffic.
+//! Modular exponentiation is where RSA spends its time (key generation's
+//! Miller–Rabin rounds, signing, verified boot), so it has its own
+//! arithmetic: an odd modulus of up to 1024 bits gets fixed-width
+//! Montgomery multiplication (CIOS) on 64-bit limbs in a stack array sized
+//! to the modulus, with no heap inside the loop. Montgomery cannot take an
+//! even modulus; those, and anything wider, use the heap schoolbook loop
+//! (a multiply and a Knuth division per step), which is also the reference
+//! the tests compare the Montgomery path against. Both are exact, so the
+//! choice never changes a result.
 
 use std::cmp::Ordering;
 use std::fmt;
+
+/// Binds `$ring` to the arithmetic modulo `$m` and evaluates `$body` with
+/// it: [`Montgomery`] on the narrowest of 1, 2, 4, 8 or 16 64-bit limbs
+/// that holds an odd modulus, [`Schoolbook`] for an even or a wider one.
+macro_rules! with_residues {
+    ($m:expr, |$ring:ident| $body:expr) => {{
+        let m: &BigUint = $m;
+        match m.limbs.len().div_ceil(2) {
+            _ if m.is_even() => {
+                let $ring = Schoolbook(m);
+                $body
+            }
+            1 => {
+                let $ring = Montgomery::<1>::new(m);
+                $body
+            }
+            2 => {
+                let $ring = Montgomery::<2>::new(m);
+                $body
+            }
+            3..=4 => {
+                let $ring = Montgomery::<4>::new(m);
+                $body
+            }
+            5..=8 => {
+                let $ring = Montgomery::<8>::new(m);
+                $body
+            }
+            9..=16 => {
+                let $ring = Montgomery::<16>::new(m);
+                $body
+            }
+            _ => {
+                let $ring = Schoolbook(m);
+                $body
+            }
+        }
+    }};
+}
 
 /// An arbitrary-precision unsigned integer.
 ///
@@ -378,8 +424,20 @@ impl BigUint {
         self.div_rem(m).1
     }
 
-    /// Modular exponentiation `self^exp mod m` (left-to-right square and
-    /// multiply).
+    /// `self mod d` for a one-word divisor: one pass over the limbs, no heap.
+    ///
+    /// # Panics
+    ///
+    /// Panics on division by zero.
+    pub(crate) fn rem_u64(&self, d: u64) -> u64 {
+        assert!(d != 0, "division by zero");
+        self.limbs.iter().rev().fold(0, |rem, &limb| {
+            ((u128::from(rem) << 32 | u128::from(limb)) % u128::from(d)) as u64
+        })
+    }
+
+    /// Modular exponentiation `self^exp mod m` (square and multiply; see
+    /// the module docs for which arithmetic a modulus gets).
     ///
     /// # Panics
     ///
@@ -389,16 +447,41 @@ impl BigUint {
         if m == &BigUint::one() {
             return BigUint::zero();
         }
-        let base = self.rem(m);
-        let mut result = BigUint::one();
-        let mut acc = base;
-        for i in 0..exp.bit_len() {
-            if exp.bit(i) {
-                result = result.mul(&acc).rem(m);
+        with_residues!(m, |ring| ring.value(ring.pow(&ring.elem(self), exp)))
+    }
+
+    /// Miller–Rabin on odd `self > 3`: one round per witness that
+    /// `witness` draws (each in `[2, self - 2]`), stopping at the first
+    /// that proves `self` composite, so the caller's witness source is
+    /// drawn exactly as often as the rounds need. The squarings stay in
+    /// residue form and are compared with the residues of 1 and `self - 1`.
+    pub(crate) fn miller_rabin(&self, rounds: u32, mut witness: impl FnMut() -> BigUint) -> bool {
+        debug_assert!(
+            !self.is_even() && self.bit_len() > 2,
+            "Miller–Rabin needs odd n > 3"
+        );
+        // self - 1 = d · 2^r
+        let n_minus_1 = self.sub(&BigUint::one());
+        let r = (0..).take_while(|&i| !n_minus_1.bit(i)).count();
+        let d = n_minus_1.shr(r);
+        with_residues!(self, |ring| {
+            let one = ring.elem(&BigUint::one());
+            let minus_one = ring.elem(&n_minus_1);
+            'witness: for _ in 0..rounds {
+                let mut x = ring.pow(&ring.elem(&witness()), &d);
+                if x == one || x == minus_one {
+                    continue 'witness;
+                }
+                for _ in 1..r {
+                    x = ring.mul(&x, &x);
+                    if x == minus_one {
+                        continue 'witness;
+                    }
+                }
+                return false;
             }
-            acc = acc.mul(&acc).rem(m);
-        }
-        result
+            true
+        })
     }
 
     /// Greatest common divisor (binary GCD).
@@ -468,6 +551,221 @@ impl BigUint {
         } else {
             None
         }
+    }
+}
+
+/// Arithmetic modulo one fixed modulus `n`, in whatever form the
+/// implementation keeps residues: `mod_pow` and Miller–Rabin are written
+/// once against it.
+trait Residues {
+    /// A residue in this arithmetic's form.
+    type Elem: PartialEq;
+    /// `x mod n`, as a residue.
+    fn elem(&self, x: &BigUint) -> Self::Elem;
+    /// The residue's value, `< n`.
+    fn value(&self, x: Self::Elem) -> BigUint;
+    /// `a · b mod n`.
+    fn mul(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem;
+    /// `base^exp mod n`.
+    fn pow(&self, base: &Self::Elem, exp: &BigUint) -> Self::Elem;
+}
+
+/// The reference arithmetic: heap residues, a schoolbook multiply and a
+/// Knuth division per step.
+struct Schoolbook<'a>(&'a BigUint);
+
+impl Residues for Schoolbook<'_> {
+    type Elem = BigUint;
+
+    fn elem(&self, x: &BigUint) -> BigUint {
+        x.rem(self.0)
+    }
+
+    fn value(&self, x: BigUint) -> BigUint {
+        x
+    }
+
+    fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        a.mul(b).rem(self.0)
+    }
+
+    /// Right-to-left square and multiply.
+    fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let mut result = BigUint::one();
+        let mut acc = base.clone();
+        for i in 0..exp.bit_len() {
+            if exp.bit(i) {
+                result = self.mul(&result, &acc);
+            }
+            acc = self.mul(&acc, &acc);
+        }
+        result
+    }
+}
+
+/// Montgomery arithmetic modulo an odd `n < R = 2^(64·N)`: a residue `x`
+/// is kept as `x·R mod n` on `N` little-endian 64-bit limbs, so a product
+/// reduces by word shifts instead of a division.
+struct Montgomery<'a, const N: usize> {
+    m: &'a BigUint,
+    n: [u64; N],
+    /// `-n⁻¹ mod 2⁶⁴`.
+    n0_inv: u64,
+    /// `R mod n`, the residue form of 1.
+    one: [u64; N],
+    /// `R² mod n`: a Montgomery product with it enters residue form.
+    r2: [u64; N],
+}
+
+impl<'a, const N: usize> Montgomery<'a, N> {
+    /// Sets up odd modulus `m` of at most `64·N` bits: n0′ and R² mod n,
+    /// once, with no heap.
+    fn new(m: &'a BigUint) -> Self {
+        let n = limbs64(m);
+        // Newton's iteration for n⁻¹ mod 2⁶⁴: an odd n is its own inverse
+        // mod 2³, and each step doubles the bits that are right.
+        let mut inv = n[0];
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
+        }
+        // R mod n: double the highest power of two below n up to R.
+        let top = m.bit_len() - 1;
+        let mut one = [0; N];
+        one[top / 64] = 1 << (top % 64);
+        for _ in top..64 * N {
+            double(&mut one, &n);
+        }
+        let mut ring = Montgomery {
+            m,
+            n,
+            n0_inv: inv.wrapping_neg(),
+            one,
+            r2: [0; N],
+        };
+        // R² mod n is the residue form of 2^(64·N): square the residue
+        // form of 2 up the bits of 64·N, doubling at each set bit.
+        let k = 64 * N;
+        let mut r2 = one;
+        double(&mut r2, &n);
+        for i in (0..k.ilog2()).rev() {
+            r2 = ring.mul(&r2, &r2);
+            if k >> i & 1 == 1 {
+                double(&mut r2, &n);
+            }
+        }
+        ring.r2 = r2;
+        ring
+    }
+}
+
+impl<const N: usize> Residues for Montgomery<'_, N> {
+    type Elem = [u64; N];
+
+    fn elem(&self, x: &BigUint) -> [u64; N] {
+        let x = if x >= self.m {
+            limbs64(&x.rem(self.m))
+        } else {
+            limbs64(x)
+        };
+        self.mul(&x, &self.r2)
+    }
+
+    fn value(&self, x: [u64; N]) -> BigUint {
+        let mut unit = [0; N];
+        unit[0] = 1;
+        let x = self.mul(&x, &unit);
+        let mut out = BigUint {
+            limbs: x
+                .iter()
+                .flat_map(|&limb| [limb as u32, (limb >> 32) as u32])
+                .collect(),
+        };
+        out.normalize();
+        out
+    }
+
+    /// The Montgomery product `a·b·R⁻¹ mod n` (CIOS: the multiply and the
+    /// reduction interleaved a word of `b` at a time).
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let mut t = [0u64; N];
+        // t's word N; t < 2n between rounds keeps it 0 or 1
+        let mut hi = 0u64;
+        for &word in b {
+            let mut carry = 0;
+            for (t, &a) in t.iter_mut().zip(a) {
+                (*t, carry) = mac(*t, a, word, carry);
+            }
+            let (top, over) = hi.overflowing_add(carry);
+            // add q·n, q chosen so the low word cancels, and shift one word
+            let q = t[0].wrapping_mul(self.n0_inv);
+            let (_, mut carry) = mac(t[0], q, self.n[0], 0);
+            for j in 1..N {
+                (t[j - 1], carry) = mac(t[j], q, self.n[j], carry);
+            }
+            let (top, over2) = top.overflowing_add(carry);
+            t[N - 1] = top;
+            hi = u64::from(over) + u64::from(over2);
+        }
+        if hi != 0 || !less(&t, &self.n) {
+            sub_limbs(&mut t, &self.n);
+        }
+        t
+    }
+
+    /// Left-to-right square and multiply.
+    fn pow(&self, base: &[u64; N], exp: &BigUint) -> [u64; N] {
+        let mut acc = self.one;
+        for i in (0..exp.bit_len()).rev() {
+            acc = self.mul(&acc, &acc);
+            if exp.bit(i) {
+                acc = self.mul(&acc, base);
+            }
+        }
+        acc
+    }
+}
+
+/// `x`'s value on `N` little-endian 64-bit limbs (it must fit).
+fn limbs64<const N: usize>(x: &BigUint) -> [u64; N] {
+    let mut out = [0; N];
+    for (i, &limb) in x.limbs.iter().enumerate() {
+        out[i / 2] |= u64::from(limb) << (32 * (i % 2));
+    }
+    out
+}
+
+/// `a + b·c + carry` as its low and high words (it cannot overflow 128 bits).
+fn mac(a: u64, b: u64, c: u64, carry: u64) -> (u64, u64) {
+    let wide = u128::from(a) + u128::from(b) * u128::from(c) + u128::from(carry);
+    (wide as u64, (wide >> 64) as u64)
+}
+
+/// `x < n`, on equal-width limbs.
+fn less<const N: usize>(x: &[u64; N], n: &[u64; N]) -> bool {
+    x.iter().rev().lt(n.iter().rev())
+}
+
+/// `x -= n` modulo `2^(64·N)`: the caller knows the true difference fits.
+fn sub_limbs<const N: usize>(x: &mut [u64; N], n: &[u64; N]) {
+    let mut borrow = false;
+    for (x, &n) in x.iter_mut().zip(n) {
+        let (d, b1) = x.overflowing_sub(n);
+        let (d, b2) = d.overflowing_sub(u64::from(borrow));
+        *x = d;
+        borrow = b1 | b2;
+    }
+}
+
+/// `x = 2x mod n`, for `x < n`.
+fn double<const N: usize>(x: &mut [u64; N], n: &[u64; N]) {
+    let mut carry = 0;
+    for limb in x.iter_mut() {
+        let out = *limb >> 63;
+        *limb = *limb << 1 | carry;
+        carry = out;
+    }
+    if carry != 0 || !less(x, n) {
+        sub_limbs(x, n);
     }
 }
 
@@ -570,6 +868,7 @@ impl From<u64> for BigUint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn b(v: u64) -> BigUint {
         BigUint::from_u64(v)
@@ -698,6 +997,107 @@ mod tests {
         assert_eq!(b(5).mod_pow(&b(3), &BigUint::one()), BigUint::zero());
         // exponent zero → one
         assert_eq!(b(5).mod_pow(&BigUint::zero(), &b(7)), BigUint::one());
+    }
+
+    /// The schoolbook loop, which every modulus took before Montgomery.
+    fn schoolbook_pow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let ring = Schoolbook(m);
+        ring.pow(&ring.elem(base), exp)
+    }
+
+    /// The top `bits` bits of `bytes`, as a number.
+    fn take_bits(bytes: &[u8], bits: usize) -> BigUint {
+        BigUint::from_bytes_be(&bytes[..bits.div_ceil(8)]).shr((8 - bits % 8) % 8)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn montgomery_mod_pow_matches_schoolbook(
+            bits in 64usize..=1024,
+            full_width: bool,
+            exp_bits in 0usize..=1024,
+            base_kind in 0u8..3,
+            bytes in proptest::collection::vec(any::<u8>(), 384)
+        ) {
+            // Half the moduli fill their limb width, as RSA moduli and
+            // primes do: only there (n > R/4) does a product skipping the
+            // final subtraction leave the residue range.
+            let bits = if full_width {
+                bits.div_ceil(64).next_power_of_two() * 64
+            } else {
+                bits
+            };
+            // a random odd modulus of exactly `bits` bits
+            let mut m = take_bits(&bytes[..128], bits);
+            m.set_bit(bits - 1);
+            m.set_bit(0);
+            let exp = take_bits(&bytes[128..256], exp_bits.min(bits));
+            let below = take_bits(&bytes[256..], bits).rem(&m);
+            let base = match base_kind {
+                0 => below,
+                1 => m.clone(),
+                _ => m.mul(&take_bits(&bytes[256..], 64)).add(&below),
+            };
+            prop_assert_eq!(base.mod_pow(&exp, &m), schoolbook_pow(&base, &exp, &m));
+        }
+    }
+
+    #[test]
+    fn montgomery_edge_moduli_match_schoolbook() {
+        let all_ones_top = BigUint::from_bytes_be(&[0xff; 64]).sub(&b(2)); // odd, 512 bits
+        let moduli = [
+            b(3),
+            b(u64::MAX),
+            b(0xffff_fffb),                    // one 32-bit limb
+            b((1 << 63) + 1),                  // one 64-bit limb, top bit set
+            BigUint::one().shl(64).add(&b(1)), // the narrowest two-limb modulus
+            all_ones_top.clone(),
+            BigUint::from_bytes_be(&[0xff; 128]), // 1024 bits, every bit set
+        ];
+        let exps = [BigUint::zero(), b(1), b(2), b(65537), all_ones_top.shr(3)];
+        for m in &moduli {
+            for base in [
+                BigUint::zero(),
+                b(1),
+                b(2),
+                m.sub(&b(1)),
+                m.clone(),
+                m.add(&b(1)),
+                m.mul(m).add(&b(5)),
+            ] {
+                for exp in &exps {
+                    assert_eq!(
+                        base.mod_pow(exp, m),
+                        schoolbook_pow(&base, exp, m),
+                        "{base}^{exp} mod {m}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn miller_rabin_decides_known_primes_and_composites() {
+        // 2^61 - 1 is prime; 561 and 41041 are Carmichael numbers; the
+        // 1024-bit value is a product of two 512-bit odd numbers.
+        let p = BigUint::one().shl(61).sub(&b(1));
+        let composite =
+            BigUint::from_bytes_be(&[0xa7; 64]).mul(&BigUint::from_bytes_be(&[0x5b; 64]));
+        for (n, prime) in [
+            (p, true),
+            (b(561), false),
+            (b(41041), false),
+            (composite, false),
+        ] {
+            let mut witness = 1u64;
+            let mut draw = || {
+                witness += 1;
+                b(witness)
+            };
+            assert_eq!(n.miller_rabin(8, &mut draw), prime, "{n}");
+        }
     }
 
     #[test]

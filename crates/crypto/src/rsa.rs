@@ -7,8 +7,12 @@
 //! the deterministic [`HmacDrbg`](crate::drbg) so that test keys are
 //! reproducible.
 //!
-//! Moduli of 512–1024 bits keep the schoolbook bignum arithmetic fast enough
-//! for tests; this is a simulation substrate, not transport security.
+//! Every modular exponentiation here (signing, verification and each
+//! Miller–Rabin round) goes through [`BigUint::mod_pow`], whose
+//! fixed-width Montgomery arithmetic takes odd moduli of up to 1024 bits
+//! with no heap inside the loop; wider moduli fall back to its schoolbook
+//! loop. This is a simulation substrate, not transport security: nothing
+//! here is constant-time.
 
 use crate::bignum::BigUint;
 use crate::drbg::HmacDrbg;
@@ -160,48 +164,38 @@ pub fn is_probable_prime(n: &BigUint, rounds: u32, drbg: &mut HmacDrbg) -> bool 
     if n.is_even() {
         return false;
     }
-    // Trial division by small primes screens out most candidates cheaply.
+    // Trial division by small primes screens out most candidates cheaply:
+    // one pass over the limbs reduces n modulo their product, a u64.
     const SMALL_PRIMES: [u64; 15] = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53];
+    const SMALL_PRIMES_PRODUCT: u64 = {
+        let mut product = 1;
+        let mut i = 0;
+        while i < SMALL_PRIMES.len() {
+            product *= SMALL_PRIMES[i];
+            i += 1;
+        }
+        product
+    };
+    let residue = n.rem_u64(SMALL_PRIMES_PRODUCT);
     for p in SMALL_PRIMES {
-        let pb = BigUint::from_u64(p);
-        if *n == pb {
+        if n.to_u64() == Some(p) {
             return true;
         }
-        if n.rem(&pb).is_zero() {
+        if residue.is_multiple_of(p) {
             return false;
         }
     }
-    // Write n-1 = d * 2^r.
-    let n_minus_1 = n.sub(&BigUint::one());
-    let mut d = n_minus_1.clone();
-    let mut r = 0usize;
-    while d.is_even() {
-        d = d.shr(1);
-        r += 1;
-    }
     let byte_len = n.bit_len().div_ceil(8);
-    'witness: for _ in 0..rounds {
+    let n_minus_3 = n.sub(&three);
+    n.miller_rabin(rounds, || {
         // Draw a ∈ [2, n-2].
-        let a = loop {
-            let bytes = drbg.generate(byte_len);
-            let candidate = BigUint::from_bytes_be(&bytes).rem(n);
-            if candidate >= two && candidate <= n.sub(&three) {
+        loop {
+            let candidate = BigUint::from_bytes_be(&drbg.generate(byte_len)).rem(n);
+            if candidate >= two && candidate <= n_minus_3 {
                 break candidate;
             }
-        };
-        let mut x = a.mod_pow(&d, n);
-        if x == BigUint::one() || x == n_minus_1 {
-            continue 'witness;
         }
-        for _ in 0..r - 1 {
-            x = x.mul(&x).rem(n);
-            if x == n_minus_1 {
-                continue 'witness;
-            }
-        }
-        return false;
-    }
-    true
+    })
 }
 
 /// Generates a random probable prime of exactly `bits` bits.
@@ -316,6 +310,40 @@ mod tests {
         let k1 = generate_keypair(512, &mut d1).unwrap();
         let k2 = generate_keypair(512, &mut d2).unwrap();
         assert_eq!(k1, k2);
+    }
+
+    #[test]
+    fn provisioning_keys_are_pinned() {
+        // SHA-256 of n ‖ d for `provision`'s vendor key (the DRBG it
+        // seeds with the platform seed) at the seeds the benchmark
+        // provisions and the goldens' 42, taken from the schoolbook
+        // arithmetic: the Montgomery path must make every prime decision
+        // and every key exactly as it did.
+        for (seed, pin) in [
+            (
+                8u64,
+                "ea1f1f68a5b94f690f454a975da1b5a364734eee295017d73261aec26c7027a0",
+            ),
+            (
+                11,
+                "bda518105b59aec22ebf66bb97108b0f87282c63c2e43d90f821bd832280ecc8",
+            ),
+            (
+                1979,
+                "b3c1c885c14c12a20f8e42d50f1f70adfb5b36f134bc46328e6b71bffc7938f5",
+            ),
+            (
+                42,
+                "b3727d41c18a18bec72708d0c8686bb6b4ff73ef84c67d229dfefe3f56604071",
+            ),
+        ] {
+            let mut drbg = HmacDrbg::new(&seed.to_le_bytes(), b"vendor-keygen");
+            let kp = generate_keypair(512, &mut drbg).unwrap();
+            let mut h = Sha256::new();
+            h.update(&kp.private.n.to_bytes_be());
+            h.update(&kp.private.d.to_bytes_be());
+            assert_eq!(crate::hex::encode(&h.finalize()), pin, "seed {seed}");
+        }
     }
 
     #[test]

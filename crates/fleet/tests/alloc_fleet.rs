@@ -12,12 +12,13 @@ use cres_platform::PlatformPool;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Hard per-device ceiling for a warm shard (60k-cycle device). Measured:
-/// 587 in both the release and the test profile, spec forking and a
-/// summary included (see `alloc_campaign` in cres-platform for the pooled
-/// run alone). A cloned block and a write buffer per task step cost
-/// 13,947; re-provisioning alone would blow through this 500x over.
-const WARM_DEVICE_ALLOC_CEILING: u64 = 1_000;
+/// Hard per-device ceiling for a warm shard (60k-cycle device): about
+/// twice the measured 325 in both the release and the test profile, spec
+/// forking and a summary included (see `alloc_campaign` in cres-platform
+/// for the pooled run alone). It measured 587 while boot verification's
+/// RSA still allocated per step; a cloned block and a write buffer per
+/// task step cost 13,947.
+const WARM_DEVICE_ALLOC_CEILING: u64 = 650;
 
 struct CountingAlloc;
 

@@ -41,11 +41,10 @@ pub struct ChromeEvent {
 
 /// Lowers captures to duration events, applying the per-track
 /// non-overlap cursor. Deterministic: device order, then ring order.
-pub fn chrome_events(captures: &[ObsCapture]) -> Vec<ChromeEvent> {
-    let mut events = Vec::with_capacity(captures.iter().map(|c| c.spans.len()).sum());
-    for capture in captures {
+pub fn chrome_events(captures: &[ObsCapture]) -> impl Iterator<Item = ChromeEvent> + '_ {
+    captures.iter().flat_map(|capture| {
         let mut cursors = [0u64; Stage::COUNT];
-        for span in &capture.spans {
+        capture.spans.iter().map(move |span| {
             let index = span.stage.index();
             let ts = span.at.cycle().max(cursors[index]);
             let dur = span.cycles.max(1);
@@ -55,7 +54,7 @@ pub fn chrome_events(captures: &[ObsCapture]) -> Vec<ChromeEvent> {
                 Stage::Policy => (policy_name(span.arg), "policy"),
                 stage => (stage.name(), "pipeline"),
             };
-            events.push(ChromeEvent {
+            ChromeEvent {
                 pid: capture.device + 1,
                 tid: index as u32 + 1,
                 ts,
@@ -64,30 +63,22 @@ pub fn chrome_events(captures: &[ObsCapture]) -> Vec<ChromeEvent> {
                 cat,
                 arg: span.arg,
                 cycle: span.at.cycle(),
-            });
-        }
-    }
-    events
+            }
+        })
+    })
 }
 
 /// Renders captures as a complete Chrome trace JSON document: metadata
 /// (process and thread names) first, then every duration event.
 pub fn chrome_trace(captures: &[ObsCapture]) -> String {
-    let events = chrome_events(captures);
-    let mut out = String::with_capacity(events.len() * 128 + 256);
+    let spans: usize = captures.iter().map(|c| c.spans.len()).sum();
+    let mut out = String::with_capacity(spans * 128 + 256);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    // single output buffer, no per-event allocation: the export plane is
-    // off the hot path but still budgeted (<5% of run wall, pinned by
-    // `e16_observe`)
-    let mut sep = |out: &mut String| {
-        if !std::mem::take(&mut first) {
+    for (i, capture) in captures.iter().enumerate() {
+        let pid = capture.device + 1;
+        if i > 0 {
             out.push(',');
         }
-    };
-    for capture in captures {
-        let pid = capture.device + 1;
-        sep(&mut out);
         let _ = write!(
             out,
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
@@ -107,42 +98,54 @@ pub fn chrome_trace(captures: &[ObsCapture]) -> String {
             if !used[stage.index()] {
                 continue;
             }
-            sep(&mut out);
             let _ = write!(
                 out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\
+                ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\
                  \"args\":{{\"name\":\"{}\"}}}}",
                 stage.index() + 1,
                 stage.name()
             );
         }
     }
-    for e in &events {
-        sep(&mut out);
-        out.push_str("{\"name\":\"");
-        out.push_str(e.name);
-        out.push_str("\",\"cat\":\"");
-        out.push_str(e.cat);
-        out.push_str("\",\"ph\":\"X\",\"pid\":");
-        push_u64(&mut out, u64::from(e.pid));
-        out.push_str(",\"tid\":");
-        push_u64(&mut out, u64::from(e.tid));
-        out.push_str(",\"ts\":");
+    // The events go on as bytes, UTF-8-checked once at the end. Each
+    // track's constant event head, `,{"name":…,"ts":`, is rebuilt only
+    // when the device or the event name (fault and policy tracks decode
+    // theirs per event) changes. An event always follows its device's
+    // metadata, so the head's leading comma is always right.
+    let mut out = out.into_bytes();
+    let mut heads: [(u32, &str, Vec<u8>); Stage::COUNT] =
+        std::array::from_fn(|_| (0, "", Vec::new()));
+    for e in chrome_events(captures) {
+        let (pid, name, head) = &mut heads[e.tid as usize - 1];
+        if (*pid, *name) != (e.pid, e.name) {
+            (*pid, *name) = (e.pid, e.name);
+            head.clear();
+            head.extend_from_slice(b",{\"name\":\"");
+            head.extend_from_slice(e.name.as_bytes());
+            head.extend_from_slice(b"\",\"cat\":\"");
+            head.extend_from_slice(e.cat.as_bytes());
+            head.extend_from_slice(b"\",\"ph\":\"X\",\"pid\":");
+            push_u64(head, u64::from(e.pid));
+            head.extend_from_slice(b",\"tid\":");
+            push_u64(head, u64::from(e.tid));
+            head.extend_from_slice(b",\"ts\":");
+        }
+        out.extend_from_slice(head);
         push_u64(&mut out, e.ts);
-        out.push_str(",\"dur\":");
+        out.extend_from_slice(b",\"dur\":");
         push_u64(&mut out, e.dur);
-        out.push_str(",\"args\":{\"arg\":");
+        out.extend_from_slice(b",\"args\":{\"arg\":");
         push_u64(&mut out, u64::from(e.arg));
         // the original sim cycle is only worth a byte budget when the
         // non-overlap cursor actually nudged the event off it
         if e.cycle != e.ts {
-            out.push_str(",\"cycle\":");
+            out.extend_from_slice(b",\"cycle\":");
             push_u64(&mut out, e.cycle);
         }
-        out.push_str("}}");
+        out.extend_from_slice(b"}}");
     }
-    out.push_str("]}");
-    out
+    out.extend_from_slice(b"]}");
+    String::from_utf8(out).expect("the trace is UTF-8")
 }
 
 #[cfg(test)]
@@ -164,7 +167,7 @@ mod tests {
     fn tracks_never_overlap_and_names_resolve() {
         let cap = capture();
         assert!(!cap.spans.is_empty(), "quiet run recorded no spans");
-        let events = chrome_events(std::slice::from_ref(&cap));
+        let events: Vec<ChromeEvent> = chrome_events(std::slice::from_ref(&cap)).collect();
         let mut cursors = std::collections::BTreeMap::new();
         for e in &events {
             let cursor = cursors.entry((e.pid, e.tid)).or_insert(0u64);

@@ -133,48 +133,44 @@ pub struct LogRecord {
 impl LogRecord {
     /// Renders the record as one canonical JSONL line (no newline).
     pub fn line(&self) -> String {
-        let mut out = String::with_capacity(96);
-        self.write_line(&mut out);
-        out
+        let mut out = Vec::with_capacity(96);
+        push_envelope_head(&mut out, self.device);
+        self.write_after_head(&mut out, push_span_head);
+        String::from_utf8(out).expect("log lines are UTF-8")
     }
 
-    /// Appends the canonical line to `out` (no newline, no per-record
-    /// allocation, no `fmt` on the high-volume arms — the bulk-export
-    /// path `write_jsonl` uses).
-    pub fn write_line(&self, out: &mut String) {
-        out.push_str("{\"v\":1,\"d\":");
-        push_u64(out, u64::from(self.device));
-        out.push_str(",\"c\":");
+    /// The line after its `{"v":1,"d":…,"c":` head, as bytes. `span_head`
+    /// writes a span record's constant `,"k":"span","stage":…,"arg":`
+    /// part, so `write_jsonl` can copy it from a table instead. The
+    /// high-volume kinds (span, fault, policy) skip `fmt` altogether.
+    fn write_after_head(&self, out: &mut Vec<u8>, span_head: impl FnOnce(&mut Vec<u8>, Stage)) {
         push_u64(out, self.cycle);
-        out.push_str(",\"s\":");
+        out.extend_from_slice(b",\"s\":");
         push_u64(out, u64::from(self.seq));
         match &self.event {
             LogEvent::Span { stage, arg, cycles } => {
-                out.push_str(",\"k\":\"span\",\"stage\":\"");
-                out.push_str(stage.name());
-                out.push_str("\",\"arg\":");
+                span_head(out, *stage);
                 push_u64(out, u64::from(*arg));
-                out.push_str(",\"cycles\":");
+                out.extend_from_slice(b",\"cycles\":");
                 push_u64(out, *cycles);
             }
             LogEvent::Fault { code } => {
-                out.push_str(",\"k\":\"fault\",\"event\":\"");
-                out.push_str(fault_name(*code));
-                out.push_str("\",\"code\":");
+                out.extend_from_slice(b",\"k\":\"fault\",\"event\":\"");
+                out.extend_from_slice(fault_name(*code).as_bytes());
+                out.extend_from_slice(b"\",\"code\":");
                 push_u64(out, u64::from(*code));
             }
             LogEvent::Policy { code } => {
-                out.push_str(",\"k\":\"policy\",\"event\":\"");
-                out.push_str(policy_name(*code));
-                out.push_str("\",\"code\":");
+                out.extend_from_slice(b",\"k\":\"policy\",\"event\":\"");
+                out.extend_from_slice(policy_name(*code).as_bytes());
+                out.extend_from_slice(b"\",\"code\":");
                 push_u64(out, u64::from(*code));
             }
             LogEvent::Seal { root, covered } => {
-                let _ = write!(
-                    out,
-                    ",\"k\":\"seal\",\"root\":\"{}\",\"covered\":{covered}",
-                    hex::encode(root)
-                );
+                out.extend_from_slice(b",\"k\":\"seal\",\"root\":\"");
+                out.extend_from_slice(hex::encode(root).as_bytes());
+                out.extend_from_slice(b"\",\"covered\":");
+                push_u64(out, *covered);
             }
             LogEvent::Device {
                 profile,
@@ -185,15 +181,15 @@ impl LogRecord {
                 chain_ok,
                 digest,
             } => {
-                out.push_str(",\"k\":\"device\",\"profile\":");
-                write_string(out, profile);
-                out.push_str(",\"attack\":");
+                let mut text = String::from(",\"k\":\"device\",\"profile\":");
+                write_string(&mut text, profile);
+                text.push_str(",\"attack\":");
                 match attack {
-                    Some(name) => write_string(out, name),
-                    None => out.push_str("null"),
+                    Some(name) => write_string(&mut text, name),
+                    None => text.push_str("null"),
                 }
                 let _ = write!(
-                    out,
+                    text,
                     ",\"detected\":{},\"availability\":{availability},\"incidents\":{incidents},\
                      \"chain_ok\":{chain_ok},\"digest\":\"{}\"",
                     match detected {
@@ -202,6 +198,7 @@ impl LogRecord {
                     },
                     hex::encode(digest)
                 );
+                out.extend_from_slice(text.as_bytes());
             }
             LogEvent::FleetIncident {
                 kind,
@@ -209,16 +206,29 @@ impl LogRecord {
                 devices,
                 detail,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"k\":\"fleet-incident\",\"type\":\"{kind}\",\"signature\":"
-                );
-                write_string(out, signature);
-                let _ = write!(out, ",\"devices\":{devices},\"detail\":{detail}");
+                let mut text =
+                    format!(",\"k\":\"fleet-incident\",\"type\":\"{kind}\",\"signature\":");
+                write_string(&mut text, signature);
+                let _ = write!(text, ",\"devices\":{devices},\"detail\":{detail}");
+                out.extend_from_slice(text.as_bytes());
             }
         }
-        out.push('}');
+        out.push(b'}');
     }
+}
+
+/// `{"v":1,"d":<device>,"c":`, every line's head up to its cycle.
+fn push_envelope_head(out: &mut Vec<u8>, device: u32) {
+    out.extend_from_slice(b"{\"v\":1,\"d\":");
+    push_u64(out, u64::from(device));
+    out.extend_from_slice(b",\"c\":");
+}
+
+/// `,"k":"span","stage":"<stage>","arg":`, a span line's constant middle.
+fn push_span_head(out: &mut Vec<u8>, stage: Stage) {
+    out.extend_from_slice(b",\"k\":\"span\",\"stage\":\"");
+    out.extend_from_slice(stage.name().as_bytes());
+    out.extend_from_slice(b"\",\"arg\":");
 }
 
 /// Builds one device's log records from its capture: every trace span
@@ -232,8 +242,15 @@ pub fn device_records(capture: &ObsCapture) -> Vec<LogRecord> {
     // nearly-sorted sequence (cheap), and stability is load-bearing
     // twice: same-cycle spans keep recording order, and seals (appended
     // after all spans) land after same-cycle spans.
-    let mut staged: Vec<(u64, LogEvent)> =
-        Vec::with_capacity(capture.spans.len() + capture.seals.len());
+    let mut records = Vec::with_capacity(capture.spans.len() + capture.seals.len());
+    let mut record = |cycle, event| {
+        records.push(LogRecord {
+            device: capture.device,
+            cycle,
+            seq: 0,
+            event,
+        });
+    };
     for span in &capture.spans {
         let event = match span.stage {
             Stage::FaultPlane => LogEvent::Fault { code: span.arg },
@@ -244,28 +261,22 @@ pub fn device_records(capture: &ObsCapture) -> Vec<LogRecord> {
                 cycles: span.cycles,
             },
         };
-        staged.push((span.at.cycle(), event));
+        record(span.at.cycle(), event);
     }
     for seal in &capture.seals {
-        staged.push((
+        record(
             seal.at.cycle(),
             LogEvent::Seal {
                 root: seal.root,
                 covered: seal.covered,
             },
-        ));
+        );
     }
-    staged.sort_by_key(|(cycle, _)| *cycle);
-    staged
-        .into_iter()
-        .enumerate()
-        .map(|(seq, (cycle, event))| LogRecord {
-            device: capture.device,
-            cycle,
-            seq: seq as u32,
-            event,
-        })
-        .collect()
+    records.sort_by_key(|record| record.cycle);
+    for (seq, record) in records.iter_mut().enumerate() {
+        record.seq = seq as u32;
+    }
+    records
 }
 
 /// Renders records as a JSONL document (one line each, trailing newline).
@@ -280,12 +291,28 @@ pub fn write_jsonl(records: &[LogRecord]) -> String {
             .all(|w| (w[0].device, w[0].cycle, w[0].seq) < (w[1].device, w[1].cycle, w[1].seq)),
         "JSONL records out of (device, cycle, seq) order"
     );
-    let mut out = String::with_capacity(records.len() * 96);
+    // bytes, UTF-8-checked once at the end; the constant heads are built
+    // once per device and once per stage
+    let mut out = Vec::with_capacity(records.len() * 96);
+    let span_heads = Stage::ALL.map(|stage| {
+        let mut head = Vec::new();
+        push_span_head(&mut head, stage);
+        head
+    });
+    let mut envelope = (None, Vec::new());
     for record in records {
-        record.write_line(&mut out);
-        out.push('\n');
+        if envelope.0 != Some(record.device) {
+            envelope.0 = Some(record.device);
+            envelope.1.clear();
+            push_envelope_head(&mut envelope.1, record.device);
+        }
+        out.extend_from_slice(&envelope.1);
+        record.write_after_head(&mut out, |out, stage| {
+            out.extend_from_slice(&span_heads[stage.index()]);
+        });
+        out.push(b'\n');
     }
-    out
+    String::from_utf8(out).expect("the log is UTF-8")
 }
 
 #[cfg(test)]

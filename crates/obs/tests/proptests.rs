@@ -12,7 +12,9 @@
 
 use cres_attacks::catalog;
 use cres_obs::lint::{check_chrome, check_jsonl, check_prom};
-use cres_obs::{chrome_events, chrome_trace, device_records, prometheus, write_jsonl, ObsCapture};
+use cres_obs::{
+    chrome_events, chrome_trace, device_records, prometheus, write_jsonl, ChromeEvent, ObsCapture,
+};
 use cres_platform::{PlatformConfig, PlatformProfile, Scenario, ScenarioRunner};
 use cres_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -73,7 +75,7 @@ proptest! {
         attack in 0usize..16
     ) {
         let capture = run_cell(profile, seed, duration, attack);
-        let events = chrome_events(std::slice::from_ref(&capture));
+        let events: Vec<ChromeEvent> = chrome_events(std::slice::from_ref(&capture)).collect();
         prop_assert!(!events.is_empty(), "run produced no trace events");
         let mut cursors: BTreeMap<(u32, u32), u64> = BTreeMap::new();
         for event in &events {
