@@ -24,10 +24,7 @@ use cres_ssm::{CorrelationConfig, CorrelationEngine, HealthState};
 /// Sparse benign noise: one denial every `gap` cycles for `n` events, plus
 /// one genuine burst of 4 denials in a tight window.
 fn noise_fp_count(enabled: bool) -> (u64, bool) {
-    let mut engine = CorrelationEngine::new(CorrelationConfig {
-        enabled,
-        ..Default::default()
-    });
+    let mut engine = CorrelationEngine::new(CorrelationConfig { enabled });
     let deny = |at: u64| {
         MonitorEvent::new(
             SimTime::at_cycle(at),

@@ -86,7 +86,11 @@ fn main() {
             for attack in ATTACKS {
                 for seed in SEEDS {
                     let mut config = PlatformConfig::new(PlatformProfile::CyberResilient, seed);
-                    config.faultplane = FaultPlaneConfig::sweep_cell(loss, crashed, CRASH_AT);
+                    config.faultplane = Some(FaultPlaneConfig {
+                        loss,
+                        crashed,
+                        crash_at: CRASH_AT,
+                    });
                     campaign.submit(
                         format!("loss={loss:.2}/crash={crashed}/{attack}/{seed}"),
                         config,

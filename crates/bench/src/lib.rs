@@ -24,7 +24,7 @@
 //! | `e15_fleet` | fleet-scale sweep: sharded devices, streaming fleet SOC |
 //! | `e16_observe` | flight-recorder export plane: byte-identity + wall budget |
 //! | `a1_correlation` | ablation: correlation engine on/off |
-//! | `obs_lint` | export-plane artifact gate (schema + worker-count diff) |
+//! | `obs_lint` | export-plane artifact gate (schema + ordering lint) |
 //!
 //! Two environment knobs exist for CI:
 //!

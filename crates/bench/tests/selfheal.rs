@@ -29,7 +29,11 @@ fn cell_spec(attack: &str) -> ScenarioSpec {
 
 fn faulted_config(seed: u64, loss: f64, crashed: u32) -> PlatformConfig {
     let mut config = PlatformConfig::new(PlatformProfile::CyberResilient, seed);
-    config.faultplane = FaultPlaneConfig::sweep_cell(loss, crashed, 100_000);
+    config.faultplane = Some(FaultPlaneConfig {
+        loss,
+        crashed,
+        crash_at: 100_000,
+    });
     config
 }
 
@@ -125,14 +129,18 @@ fn faultplane_report_is_bit_identical_outside_telemetry_field() {
 
 #[test]
 fn all_quiet_faultplane_only_adds_the_stats_field() {
-    // An armed fault plane with every probability at zero and no crashes
-    // must be transparent: identical to the unfaulted platform everywhere
-    // except the (all-zero) `faultplane` stats field itself. Telemetry is
-    // off because an armed plane intentionally registers zeroed
-    // `faultplane.*` counters in the metrics registry.
+    // An armed fault plane at zero loss and no crashes must be
+    // transparent: identical to the unfaulted platform everywhere except
+    // the (all-zero) `faultplane` stats field itself. Telemetry is off
+    // because an armed plane intentionally registers zeroed `faultplane.*`
+    // counters in the metrics registry.
     let run = |armed: bool| {
         let mut config = PlatformConfig::new(PlatformProfile::CyberResilient, 99);
-        config.faultplane.enabled = armed;
+        config.faultplane = armed.then_some(FaultPlaneConfig {
+            loss: 0.0,
+            crashed: 0,
+            crash_at: 0,
+        });
         config.telemetry.enabled = false;
         let mut campaign = Campaign::new(try_build);
         campaign.submit("cell", config, cell_spec("sensor-spoof"));

@@ -14,18 +14,16 @@ use std::fmt;
 /// Verification policy flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BootPolicy {
-    /// Enforce `security_version >=` the OTP counter (anti-rollback).
+    /// Anti-rollback: enforce `security_version >=` the OTP counter, and
+    /// after a successful verify advance the counter to the image's
+    /// security version (locking out older images for the future).
     pub anti_rollback: bool,
-    /// After a successful verify, advance the OTP counter to the image's
-    /// security version (locks out older images for the future).
-    pub advance_counters: bool,
 }
 
 impl Default for BootPolicy {
     fn default() -> Self {
         BootPolicy {
             anti_rollback: true,
-            advance_counters: true,
         }
     }
 }
@@ -35,7 +33,6 @@ impl BootPolicy {
     pub fn signature_only() -> Self {
         BootPolicy {
             anti_rollback: false,
-            advance_counters: false,
         }
     }
 }
@@ -140,8 +137,6 @@ impl BootRom {
                     minimum,
                 });
             }
-        }
-        if self.policy.advance_counters {
             arb.advance(&image.header.stage, image.header.security_version);
         }
         Ok(())

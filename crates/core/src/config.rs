@@ -71,8 +71,8 @@ pub struct PlatformConfig {
     /// for the zero-instrumentation baseline E8 compares against.
     pub telemetry: TelemetryConfig,
     /// Fault injection into the security pipeline itself (E11); default
-    /// off, which is bit-identical to a platform without a fault plane.
-    pub faultplane: FaultPlaneConfig,
+    /// `None`, a platform without a fault plane.
+    pub faultplane: Option<FaultPlaneConfig>,
     /// The stateful response policy engine (circuit breakers, graded
     /// degradation tiers, availability accounting — E14); default off,
     /// which is bit-identical to a platform without a policy engine.
@@ -94,7 +94,7 @@ impl PlatformConfig {
             expose_slots_to_attacker: false,
             planner_override: None,
             telemetry: TelemetryConfig::default(),
-            faultplane: FaultPlaneConfig::default(),
+            faultplane: None,
             policy: PolicyConfig::default(),
         }
     }

@@ -14,11 +14,16 @@
 //!   crash-at-cycle of a seed-chosen subset of the monitor fleet;
 //! * **response faults** — command drops between planner and backend.
 //!
-//! The pipeline fights back with bounded, sim-clock-based retry (exponential
-//! backoff + deterministic jitter — see [`RetryPolicy`]) and, at the SSM
-//! level, heartbeat liveness tracking that quarantines dead monitors and
-//! widens correlation windows (`cres_ssm::MonitorHealth`). Experiment E11
-//! (`e11_selfheal`) sweeps fault intensity against detection performance.
+//! The pipeline fights back with bounded, sim-clock-based retry (two
+//! retries at `64 << n` cycles plus a jitter draw below 64) and, at the
+//! SSM level, heartbeat liveness tracking that quarantines dead monitors
+//! and widens correlation windows (`cres_ssm::MonitorHealth`). Experiment
+//! E11 (`e11_selfheal`) sweeps fault intensity against detection
+//! performance.
+//!
+//! One number sets the intensity: [`FaultPlaneConfig::loss`]. Delay,
+//! reorder, response drop and stall fire at `loss / 2`, corruption at
+//! `loss / 4`; a delayed event is held for 1–3 sampling batches.
 //!
 //! Determinism contract: the injector draws from its own RNG stream
 //! (`fork("fault-plane")` of the platform seed), so
@@ -33,136 +38,38 @@ use cres_sim::{fault_code, DetRng, SimTime, Stage, StageSink};
 use serde::{Deserialize, Serialize};
 use std::mem;
 
-/// Fault-plane configuration, carried per [`crate::PlatformConfig`] cell.
-///
-/// All probabilities are per-event (or per-command / per-monitor-round)
-/// Bernoulli draws in `[0, 1]`. The default is everything off, which is
-/// bit-for-bit equivalent to a platform without a fault plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// One cell of the E11 sweep, carried per [`crate::PlatformConfig`] as
+/// `Some(cell)`; `None` is a platform without a fault plane.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlaneConfig {
-    /// Master switch. When false the injector is never constructed and no
-    /// RNG is drawn.
-    pub enabled: bool,
-    /// Probability a monitor event is lost in transit (before retry).
-    pub event_loss: f64,
-    /// Probability a surviving event is held back for later delivery.
-    pub event_delay: f64,
-    /// Maximum number of sampling batches a delayed event is held for
-    /// (actual hold is uniform in `1..=max_delay_batches`).
-    pub max_delay_batches: u32,
-    /// Probability of swapping each adjacent pair in a delivered batch.
-    pub event_reorder: f64,
-    /// Probability an event is corrupted in transit (severity downgraded
-    /// one band, detail mangled).
-    pub event_corrupt: f64,
-    /// Probability a response command is dropped before the backend
-    /// (before retry).
-    pub response_drop: f64,
+    /// Probability a monitor event is lost in transit (before retry). The
+    /// other fault rates derive from it (see the module docs).
+    pub loss: f64,
     /// Number of monitors (seed-chosen from the periodic fleet) that crash
     /// permanently at [`FaultPlaneConfig::crash_at`].
-    pub crashed_monitors: u32,
+    pub crashed: u32,
     /// Cycle at which crashing monitors die.
     pub crash_at: u64,
-    /// Probability a live monitor skips one sampling round.
-    pub monitor_stall: f64,
-    /// Retry policy for faulted event and command deliveries.
-    pub retry: RetryPolicy,
 }
 
-impl Default for FaultPlaneConfig {
-    fn default() -> Self {
-        FaultPlaneConfig {
-            enabled: false,
-            event_loss: 0.0,
-            event_delay: 0.0,
-            max_delay_batches: 3,
-            event_reorder: 0.0,
-            event_corrupt: 0.0,
-            response_drop: 0.0,
-            crashed_monitors: 0,
-            crash_at: 0,
-            monitor_stall: 0.0,
-            retry: RetryPolicy::default(),
-        }
+/// Longest hold of a delayed event, in sampling batches (a hold is
+/// uniform in `1..=MAX_DELAY_BATCHES`).
+const MAX_DELAY_BATCHES: u32 = 3;
+/// Retries after a faulted first delivery.
+const RETRIES: usize = 2;
+/// Backoff unit of the retry ladder, in cycles.
+const BASE_BACKOFF: u64 = 64;
+
+/// The retry ladder, in sim cycles (never wall time): retry `n` waits
+/// `BASE_BACKOFF << n` plus a jitter draw in `[0, BASE_BACKOFF)`, so the
+/// ladder is 64–127 then 128–191 cycles. Every jitter is drawn before the
+/// first retry re-rolls.
+fn backoffs(rng: &mut DetRng) -> [u64; RETRIES] {
+    let mut ladder = [0; RETRIES];
+    for (n, backoff) in ladder.iter_mut().enumerate() {
+        *backoff = (BASE_BACKOFF << n) + rng.range_u64(0, BASE_BACKOFF);
     }
-}
-
-impl FaultPlaneConfig {
-    /// A moderately hostile interconnect: the E11 sweep's parameterisation.
-    /// `loss` is the event-loss probability; `crashed` the number of
-    /// monitors that die at `crash_at`.
-    pub fn sweep_cell(loss: f64, crashed: u32, crash_at: u64) -> Self {
-        FaultPlaneConfig {
-            enabled: true,
-            event_loss: loss,
-            event_delay: loss / 2.0,
-            max_delay_batches: 3,
-            event_reorder: loss / 2.0,
-            event_corrupt: loss / 4.0,
-            response_drop: loss / 2.0,
-            crashed_monitors: crashed,
-            crash_at,
-            monitor_stall: loss / 2.0,
-            retry: RetryPolicy::default(),
-        }
-    }
-}
-
-/// Bounded retry with exponential backoff and deterministic jitter, in sim
-/// cycles (never wall time).
-///
-/// A faulted delivery is retried up to `max_attempts - 1` times; attempt
-/// `n`'s backoff is `base_backoff << n` plus a jitter draw in
-/// `[0, base_backoff)`, clamped to `max_backoff` and to be non-decreasing —
-/// so a schedule is always **monotone and bounded** (pinned by property
-/// tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Total delivery attempts (first try included). 1 disables retry.
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in cycles.
-    pub base_backoff: u64,
-    /// Ceiling on any single backoff, in cycles.
-    pub max_backoff: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: 64,
-            max_backoff: 1_024,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Draws the full backoff schedule (one entry per retry, i.e.
-    /// `max_attempts - 1` entries) from `rng`. Each entry is the delay in
-    /// cycles before that retry; the sequence is non-decreasing and every
-    /// entry is `<= max_backoff`.
-    pub fn schedule(&self, rng: &mut DetRng) -> Vec<u64> {
-        let mut delays = Vec::new();
-        let mut previous = 0u64;
-        for attempt in 0..self.max_attempts.saturating_sub(1) {
-            let exponential = self
-                .base_backoff
-                .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
-                .min(self.max_backoff);
-            let jitter = if self.base_backoff > 0 {
-                rng.range_u64(0, self.base_backoff)
-            } else {
-                0
-            };
-            let delay = exponential
-                .saturating_add(jitter)
-                .min(self.max_backoff)
-                .max(previous);
-            previous = delay;
-            delays.push(delay);
-        }
-        delays
-    }
+    ladder
 }
 
 /// Counters for everything the fault plane injected and everything the
@@ -200,15 +107,23 @@ pub struct FaultPlaneStats {
 }
 
 /// The runtime fault injector: one per platform, constructed only when
-/// [`FaultPlaneConfig::enabled`] is set.
+/// the platform's configuration carries a [`FaultPlaneConfig`].
 #[derive(Debug, Clone)]
 pub struct FaultPlane {
-    config: FaultPlaneConfig,
+    // Per-event (or per-command / per-monitor-round) fault probabilities,
+    // derived once from `FaultPlaneConfig::loss`.
+    loss: f64,
+    delay: f64,
+    reorder: f64,
+    corrupt: f64,
+    response_drop: f64,
+    stall: f64,
+    crash_at: u64,
     rng: DetRng,
     /// Events held back by the delay fault: `(batches_remaining, event)`.
     delayed: Vec<(u32, MonitorEvent)>,
     /// Indices (into the platform's periodic monitor fleet) that crash at
-    /// `config.crash_at`.
+    /// `crash_at`.
     crashed: Vec<usize>,
     /// Reused staging buffer for [`FaultPlane::filter_events`] — the batch
     /// is swapped in here so the caller's buffer can be rebuilt in place
@@ -220,11 +135,10 @@ pub struct FaultPlane {
 impl FaultPlane {
     /// Builds the injector for a platform seeded with `seed` driving
     /// `monitor_count` periodic monitors. The crash victims are a
-    /// seed-deterministic choice of `config.crashed_monitors` distinct
-    /// indices.
+    /// seed-deterministic choice of `config.crashed` distinct indices.
     pub fn new(config: FaultPlaneConfig, seed: u64, monitor_count: usize) -> Self {
         let mut rng = DetRng::seed_from(seed).fork("fault-plane");
-        let victims = (config.crashed_monitors as usize).min(monitor_count);
+        let victims = (config.crashed as usize).min(monitor_count);
         let crashed: Vec<usize> = rng
             .permutation(monitor_count)
             .into_iter()
@@ -234,19 +148,21 @@ impl FaultPlane {
             monitors_crashed: crashed.len() as u64,
             ..Default::default()
         };
+        let loss = config.loss;
         FaultPlane {
-            config,
+            loss,
+            delay: loss / 2.0,
+            reorder: loss / 2.0,
+            corrupt: loss / 4.0,
+            response_drop: loss / 2.0,
+            stall: loss / 2.0,
+            crash_at: config.crash_at,
             rng,
             delayed: Vec::new(),
             crashed,
             scratch: Vec::new(),
             stats,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &FaultPlaneConfig {
-        &self.config
     }
 
     /// Injection/recovery counters so far.
@@ -267,7 +183,7 @@ impl FaultPlane {
 
     /// True when monitor `index` is dead at `now`.
     pub fn is_crashed(&self, index: usize, now: SimTime) -> bool {
-        now.cycle() >= self.config.crash_at && self.crashed.contains(&index)
+        now.cycle() >= self.crash_at && self.crashed.contains(&index)
     }
 
     /// True when delayed events are waiting for a later batch — the runner
@@ -280,10 +196,10 @@ impl FaultPlane {
     /// true when the monitor skips this round (one `fault-plane` span, no
     /// heartbeat — a stalled monitor looks dead until it beats again).
     pub fn monitor_stalls(&mut self, now: SimTime, sink: &mut dyn StageSink) -> bool {
-        if self.config.monitor_stall <= 0.0 {
+        if self.stall <= 0.0 {
             return false;
         }
-        let stalled = self.rng.chance(self.config.monitor_stall);
+        let stalled = self.rng.chance(self.stall);
         if stalled {
             self.stats.monitor_stalls += 1;
             sink.record_span(now, Stage::FaultPlane, fault_code::MONITOR_STALLED, 1);
@@ -325,30 +241,24 @@ impl FaultPlane {
         for &(mut event) in &batch {
             // Corruption: the event arrives, but mangled — severity loses a
             // band and the rendered detail gains the in-transit prefix.
-            if self.config.event_corrupt > 0.0 && self.rng.chance(self.config.event_corrupt) {
+            if self.corrupt > 0.0 && self.rng.chance(self.corrupt) {
                 event.severity = event.severity.downgrade();
                 event.corrupted = true;
                 self.stats.events_corrupted += 1;
                 sink.record_span(now, Stage::FaultPlane, fault_code::EVENT_CORRUPTED, 1);
             }
             // Loss, fought with bounded retry.
-            if self.config.event_loss > 0.0
-                && self.rng.chance(self.config.event_loss)
-                && !self.retry_delivery(now, self.config.event_loss, false, sink)
+            if self.loss > 0.0
+                && self.rng.chance(self.loss)
+                && !self.retry_delivery(now, self.loss, false, sink)
             {
                 self.stats.events_lost += 1;
                 sink.record_span(now, Stage::FaultPlane, fault_code::EVENT_LOST, 1);
                 continue;
             }
-            // Delay: survived, but held for 1..=max batches.
-            if self.config.event_delay > 0.0
-                && self.config.max_delay_batches > 0
-                && self.rng.chance(self.config.event_delay)
-            {
-                let hold = self
-                    .rng
-                    .range_u64(1, u64::from(self.config.max_delay_batches) + 1)
-                    as u32;
+            // Delay: survived, but held for 1..=MAX_DELAY_BATCHES batches.
+            if self.delay > 0.0 && self.rng.chance(self.delay) {
+                let hold = self.rng.range_u64(1, u64::from(MAX_DELAY_BATCHES) + 1) as u32;
                 self.stats.events_delayed += 1;
                 sink.record_span(now, Stage::FaultPlane, fault_code::EVENT_DELAYED, 1);
                 self.delayed.push((hold, event));
@@ -360,9 +270,9 @@ impl FaultPlane {
         self.scratch = batch;
 
         // Reorder: swap adjacent pairs. A swap never duplicates or drops.
-        if self.config.event_reorder > 0.0 && events.len() >= 2 {
+        if self.reorder > 0.0 && events.len() >= 2 {
             for i in 0..events.len() - 1 {
-                if self.rng.chance(self.config.event_reorder) {
+                if self.rng.chance(self.reorder) {
                     events.swap(i, i + 1);
                     self.stats.events_reordered += 1;
                     sink.record_span(now, Stage::FaultPlane, fault_code::EVENT_REORDERED, 1);
@@ -374,10 +284,10 @@ impl FaultPlane {
     /// Draws the drop fault for one response command. Returns true when the
     /// command is lost (after retries).
     pub fn drops_response(&mut self, now: SimTime, sink: &mut dyn StageSink) -> bool {
-        if self.config.response_drop <= 0.0 || !self.rng.chance(self.config.response_drop) {
+        if self.response_drop <= 0.0 || !self.rng.chance(self.response_drop) {
             return false;
         }
-        if self.retry_delivery(now, self.config.response_drop, true, sink) {
+        if self.retry_delivery(now, self.response_drop, true, sink) {
             return false;
         }
         self.stats.response_drops += 1;
@@ -385,7 +295,7 @@ impl FaultPlane {
         true
     }
 
-    /// Spends the retry budget on a faulted delivery. Each retry waits its
+    /// Climbs the retry ladder for a faulted delivery. Each retry waits its
     /// backoff (accounted in `backoff_cycles`) and re-rolls against
     /// `fault_p`; returns true when some retry succeeds.
     fn retry_delivery(
@@ -395,8 +305,7 @@ impl FaultPlane {
         response: bool,
         sink: &mut dyn StageSink,
     ) -> bool {
-        let schedule = self.config.retry.schedule(&mut self.rng);
-        for backoff in schedule {
+        for backoff in backoffs(&mut self.rng) {
             self.stats.backoff_cycles += backoff;
             if response {
                 self.stats.response_retries += 1;
@@ -437,24 +346,37 @@ mod tests {
         events
     }
 
+    fn cell(loss: f64, crashed: u32, crash_at: u64) -> FaultPlaneConfig {
+        FaultPlaneConfig {
+            loss,
+            crashed,
+            crash_at,
+        }
+    }
+
+    /// A zero-loss plane with one derived rate forced by `force`, so a
+    /// single fault kind can be exercised alone.
+    fn quiet_plane_with(force: impl FnOnce(&mut FaultPlane)) -> FaultPlane {
+        let mut plane = FaultPlane::new(cell(0.0, 0, 0), 1, 8);
+        force(&mut plane);
+        plane
+    }
+
     #[test]
-    fn disabled_config_is_default() {
-        let config = FaultPlaneConfig::default();
-        assert!(!config.enabled);
-        assert_eq!(config.event_loss, 0.0);
-        assert_eq!(config.crashed_monitors, 0);
+    fn rates_derive_from_loss() {
+        let plane = FaultPlane::new(cell(0.2, 2, 50_000), 1, 8);
+        assert_eq!(plane.loss, 0.2);
+        for rate in [plane.delay, plane.reorder, plane.response_drop, plane.stall] {
+            assert_eq!(rate, 0.1);
+        }
+        assert_eq!(plane.corrupt, 0.05);
+        assert_eq!(plane.crash_at, 50_000);
+        assert_eq!(plane.crashed_monitors().len(), 2);
     }
 
     #[test]
     fn all_off_plane_is_transparent() {
-        let mut plane = FaultPlane::new(
-            FaultPlaneConfig {
-                enabled: true,
-                ..Default::default()
-            },
-            1,
-            8,
-        );
+        let mut plane = FaultPlane::new(cell(0.0, 0, 0), 1, 8);
         let batch: Vec<MonitorEvent> = (0..10).map(|i| ev(i, "x")).collect();
         let out = filter(&mut plane, 100, batch.clone());
         assert_eq!(out, batch);
@@ -464,35 +386,18 @@ mod tests {
 
     #[test]
     fn total_loss_drops_everything_and_counts() {
-        let mut plane = FaultPlane::new(
-            FaultPlaneConfig {
-                enabled: true,
-                event_loss: 1.0,
-                ..Default::default()
-            },
-            1,
-            8,
-        );
+        let mut plane = FaultPlane::new(cell(1.0, 0, 0), 1, 8);
         let out = filter(&mut plane, 0, (0..5).map(|i| ev(i, "x")).collect());
         assert!(out.is_empty());
         assert_eq!(plane.stats().events_lost, 5);
-        // retry budget spent on every loss: (max_attempts - 1) each
-        assert_eq!(plane.stats().delivery_retries, 5 * 2);
+        // the whole retry ladder is spent on every loss
+        assert_eq!(plane.stats().delivery_retries, 5 * RETRIES as u64);
         assert!(plane.stats().backoff_cycles > 0);
     }
 
     #[test]
     fn delayed_events_arrive_later_without_duplication() {
-        let mut plane = FaultPlane::new(
-            FaultPlaneConfig {
-                enabled: true,
-                event_delay: 1.0,
-                max_delay_batches: 2,
-                ..Default::default()
-            },
-            1,
-            8,
-        );
+        let mut plane = quiet_plane_with(|p| p.delay = 1.0);
         let batch: Vec<MonitorEvent> = (0..4).map(|i| ev(i, "d")).collect();
         let first = filter(&mut plane, 0, batch.clone());
         assert!(first.is_empty(), "everything should be held");
@@ -500,7 +405,7 @@ mod tests {
         let mut recovered = Vec::new();
         // Feeding empty batches releases the held events; delay cannot
         // re-fire on an already released event (release path is fault-free).
-        for round in 1..=3u64 {
+        for round in 1..=u64::from(MAX_DELAY_BATCHES) {
             recovered.extend(filter(&mut plane, round * 1_000, Vec::new()));
         }
         assert!(!plane.pending());
@@ -510,15 +415,7 @@ mod tests {
 
     #[test]
     fn corruption_downgrades_and_tags() {
-        let mut plane = FaultPlane::new(
-            FaultPlaneConfig {
-                enabled: true,
-                event_corrupt: 1.0,
-                ..Default::default()
-            },
-            1,
-            8,
-        );
+        let mut plane = quiet_plane_with(|p| p.corrupt = 1.0);
         let out = filter(&mut plane, 0, vec![ev(0, "probe")]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].severity, Severity::Warning);
@@ -532,15 +429,7 @@ mod tests {
 
     #[test]
     fn reorder_permutes_but_preserves_multiset() {
-        let mut plane = FaultPlane::new(
-            FaultPlaneConfig {
-                enabled: true,
-                event_reorder: 1.0,
-                ..Default::default()
-            },
-            1,
-            8,
-        );
+        let mut plane = quiet_plane_with(|p| p.reorder = 1.0);
         let batch: Vec<MonitorEvent> = (0..6).map(|i| ev(i, "r")).collect();
         let out = filter(&mut plane, 0, batch.clone());
         assert_eq!(out.len(), batch.len());
@@ -554,12 +443,7 @@ mod tests {
 
     #[test]
     fn crash_victims_are_seed_deterministic_and_distinct() {
-        let config = FaultPlaneConfig {
-            enabled: true,
-            crashed_monitors: 3,
-            crash_at: 1_000,
-            ..Default::default()
-        };
+        let config = cell(0.0, 3, 1_000);
         let a = FaultPlane::new(config, 42, 8);
         let b = FaultPlane::new(config, 42, 8);
         assert_eq!(a.crashed_monitors(), b.crashed_monitors());
@@ -580,48 +464,28 @@ mod tests {
 
     #[test]
     fn crash_count_saturates_at_fleet_size() {
-        let plane = FaultPlane::new(
-            FaultPlaneConfig {
-                enabled: true,
-                crashed_monitors: 99,
-                ..Default::default()
-            },
-            7,
-            4,
-        );
+        let plane = FaultPlane::new(cell(0.0, 99, 0), 7, 4);
         assert_eq!(plane.crashed_monitors().len(), 4);
     }
 
     #[test]
-    fn retry_schedule_is_monotone_and_bounded() {
-        let policy = RetryPolicy {
-            max_attempts: 6,
-            base_backoff: 100,
-            max_backoff: 1_500,
-        };
+    fn retry_ladder_is_monotone_and_bounded() {
+        // 64–127 then 128–191 cycles: the rungs never overlap and the
+        // longest backoff stays far below a monitor period.
         let mut rng = DetRng::seed_from(9);
-        for _ in 0..50 {
-            let schedule = policy.schedule(&mut rng);
-            assert_eq!(schedule.len(), 5);
-            assert!(schedule.windows(2).all(|w| w[0] <= w[1]), "{schedule:?}");
-            assert!(schedule.iter().all(|&d| d <= policy.max_backoff));
+        let (mut low, mut high) = ([u64::MAX; RETRIES], [0; RETRIES]);
+        for _ in 0..500 {
+            for (n, backoff) in backoffs(&mut rng).into_iter().enumerate() {
+                low[n] = low[n].min(backoff);
+                high[n] = high[n].max(backoff);
+            }
         }
-    }
-
-    #[test]
-    fn single_attempt_policy_never_retries() {
-        let policy = RetryPolicy {
-            max_attempts: 1,
-            base_backoff: 64,
-            max_backoff: 1_024,
-        };
-        let mut rng = DetRng::seed_from(3);
-        assert!(policy.schedule(&mut rng).is_empty());
+        assert_eq!((low, high), ([64, 128], [127, 191]));
     }
 
     #[test]
     fn same_seed_same_fault_decisions() {
-        let config = FaultPlaneConfig::sweep_cell(0.3, 1, 100_000);
+        let config = cell(0.3, 1, 100_000);
         let batch: Vec<MonitorEvent> = (0..20).map(|i| ev(i, "s")).collect();
         let run = |seed: u64| {
             let mut plane = FaultPlane::new(config, seed, 8);
@@ -633,15 +497,5 @@ mod tests {
         };
         assert_eq!(run(1234), run(1234));
         assert_ne!(run(1234).1, run(5678).1, "different seeds should differ");
-    }
-
-    #[test]
-    fn sweep_cell_scales_with_loss() {
-        let cell = FaultPlaneConfig::sweep_cell(0.2, 2, 50_000);
-        assert!(cell.enabled);
-        assert_eq!(cell.event_loss, 0.2);
-        assert_eq!(cell.event_delay, 0.1);
-        assert_eq!(cell.crashed_monitors, 2);
-        assert_eq!(cell.crash_at, 50_000);
     }
 }

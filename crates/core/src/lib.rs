@@ -60,7 +60,7 @@ pub mod telemetry;
 pub use campaign::{Campaign, CampaignSummary, Job, JobResult, ScenarioSpec};
 pub use comms::{AuthMessage, RejectReason, SecureChannel};
 pub use config::{PlatformConfig, PlatformProfile};
-pub use faultplane::{FaultPlane, FaultPlaneConfig, FaultPlaneStats, RetryPolicy};
+pub use faultplane::{FaultPlane, FaultPlaneConfig, FaultPlaneStats};
 pub use metrics::{AttackOutcomeReport, RunReport};
 pub use platform::Platform;
 pub use pool::{PlatformPool, PoolStats, ScoreScratch};

@@ -146,10 +146,9 @@ pub struct Platform {
     /// [`crate::telemetry::TelemetryConfig::enabled`] is off, making every
     /// instrumentation point a single branch.
     pub telemetry: Option<TelemetryRecorder>,
-    /// The pipeline fault injector; `None` when
-    /// [`crate::faultplane::FaultPlaneConfig::enabled`] is off — the
-    /// disabled path draws no RNG and is byte-identical to a platform
-    /// without a fault plane.
+    /// The pipeline fault injector; `None` when the configuration carries
+    /// no [`crate::faultplane::FaultPlaneConfig`] — the disabled path
+    /// draws no RNG.
     pub faultplane: Option<FaultPlane>,
     /// The stateful response policy engine, present when the
     /// configuration's `policy.enabled` is set. Without it, every plan
@@ -263,7 +262,6 @@ impl Platform {
             deployment: config.ssm_deployment(),
             correlation: CorrelationConfig {
                 enabled: config.correlation_enabled,
-                ..Default::default()
             },
             planner: config.planner_mode(),
             evidence_enabled: config.evidence_enabled,
@@ -291,9 +289,9 @@ impl Platform {
         // which are fed inline by the scheduler). Heartbeat liveness
         // tracking is armed only alongside it, so fault-free platforms are
         // bit-identical to builds without a fault plane.
-        let faultplane = config.faultplane.enabled.then(|| {
-            ssm.init_monitor_health(monitors.len(), config.monitor_period, 3);
-            FaultPlane::new(config.faultplane, config.seed, monitors.len())
+        let faultplane = config.faultplane.map(|cell| {
+            ssm.init_monitor_health(monitors.len(), config.monitor_period);
+            FaultPlane::new(cell, config.seed, monitors.len())
         });
 
         // Initial measured boot.

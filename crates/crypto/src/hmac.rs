@@ -1,11 +1,11 @@
-//! HMAC (RFC 2104) over SHA-256 and SHA-512.
+//! HMAC (RFC 2104) over SHA-256.
 //!
 //! Validated against the RFC 4231 test vectors. HMAC-SHA-256 is the
 //! workhorse of the platform: it keys the evidence hash chain in the system
 //! security manager and authenticates the AEAD in [`crate::aead`].
 
 use crate::ct::ct_eq;
-use crate::sha2::{Sha256, Sha512};
+use crate::sha2::Sha256;
 
 /// Streaming HMAC-SHA-256.
 ///
@@ -83,71 +83,6 @@ impl HmacSha256 {
     }
 }
 
-/// Streaming HMAC-SHA-512.
-#[derive(Debug, Clone)]
-pub struct HmacSha512 {
-    inner: Sha512,
-    opad_key: [u8; 128],
-}
-
-impl HmacSha512 {
-    /// Output length in bytes.
-    pub const OUTPUT_LEN: usize = 64;
-
-    /// Creates a keyed MAC instance.
-    pub fn new(key: &[u8]) -> Self {
-        let mut block_key = [0u8; 128];
-        if key.len() > 128 {
-            block_key[..64].copy_from_slice(&Sha512::digest(key));
-        } else {
-            block_key[..key.len()].copy_from_slice(key);
-        }
-        let mut ipad = [0u8; 128];
-        let mut opad = [0u8; 128];
-        for i in 0..128 {
-            ipad[i] = block_key[i] ^ 0x36;
-            opad[i] = block_key[i] ^ 0x5c;
-        }
-        let mut inner = Sha512::new();
-        inner.update(&ipad);
-        HmacSha512 {
-            inner,
-            opad_key: opad,
-        }
-    }
-
-    /// Absorbs message bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        self.inner.update(data);
-    }
-
-    /// Finishes and returns the 64-byte tag.
-    pub fn finalize(self) -> [u8; 64] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha512::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
-        outer.finalize()
-    }
-
-    /// One-shot MAC.
-    pub fn mac(key: &[u8], message: &[u8]) -> [u8; 64] {
-        let mut h = HmacSha512::new(key);
-        h.update(message);
-        h.finalize()
-    }
-
-    /// Constant-time verification of a tag (minimum 16 bytes).
-    #[must_use]
-    pub fn verify(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
-        if tag.len() < 16 || tag.len() > 64 {
-            return false;
-        }
-        let full = Self::mac(key, message);
-        ct_eq(&full[..tag.len()], tag)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,11 +96,6 @@ mod tests {
         assert_eq!(
             hex::encode(&HmacSha256::mac(&key, msg)),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        assert_eq!(
-            hex::encode(&HmacSha512::mac(&key, msg)),
-            "87aa7cdea5ef619d4ff0b4241a1d6cb02379f4e2ce4ec2787ad0b30545e17cde\
-             daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854"
         );
     }
 
@@ -224,12 +154,5 @@ mod tests {
     fn verify_rejects_wrong_key() {
         let tag = HmacSha256::mac(b"k1", b"m");
         assert!(!HmacSha256::verify(b"k2", b"m", &tag));
-    }
-
-    #[test]
-    fn sha512_verify_round_trip() {
-        let tag = HmacSha512::mac(b"key", b"msg");
-        assert!(HmacSha512::verify(b"key", b"msg", &tag));
-        assert!(!HmacSha512::verify(b"key", b"msh", &tag));
     }
 }

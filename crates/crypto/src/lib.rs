@@ -6,8 +6,8 @@
 //! all need cryptography; this crate provides it with **zero external
 //! dependencies** so that the whole reproduction is self-contained:
 //!
-//! * [`sha2`] — SHA-256 / SHA-512 (FIPS 180-4),
-//! * [`hmac`] — HMAC (RFC 2104) over either hash,
+//! * [`sha2`] — SHA-256 (FIPS 180-4),
+//! * [`hmac`] — HMAC-SHA-256 (RFC 2104),
 //! * [`hkdf`] — HKDF extract/expand (RFC 5869),
 //! * [`aes`] — the AES-128/192/256 block cipher (FIPS 197),
 //! * [`modes`] — the CTR mode of operation,

@@ -19,9 +19,9 @@ pub type NodeHash = [u8; 32];
 /// use cres_crypto::merkle::MerkleTree;
 /// let leaves: Vec<&[u8]> = vec![b"a", b"b", b"c"];
 /// let tree = MerkleTree::build(leaves.iter().copied());
-/// let proof = tree.prove(1).unwrap();
-/// assert!(MerkleTree::verify(&tree.root(), b"b", &proof));
-/// assert!(!MerkleTree::verify(&tree.root(), b"x", &proof));
+/// let proof = tree.inclusion_proof(1).unwrap();
+/// assert!(MerkleTree::verify_proof(&tree.root(), b"b", &proof));
+/// assert!(!MerkleTree::verify_proof(&tree.root(), b"x", &proof));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleTree {
@@ -111,7 +111,7 @@ impl MerkleTree {
 
     /// Produces an inclusion proof for leaf `index`, or `None` when out of
     /// range.
-    pub fn prove(&self, index: usize) -> Option<InclusionProof> {
+    pub fn inclusion_proof(&self, index: usize) -> Option<InclusionProof> {
         if index >= self.leaf_count() {
             return None;
         }
@@ -135,7 +135,7 @@ impl MerkleTree {
 
     /// Verifies that `leaf_data` is included under `root` via `proof`.
     #[must_use]
-    pub fn verify(root: &NodeHash, leaf_data: &[u8], proof: &InclusionProof) -> bool {
+    pub fn verify_proof(root: &NodeHash, leaf_data: &[u8], proof: &InclusionProof) -> bool {
         let mut acc = hash_leaf(leaf_data);
         for step in proof {
             acc = if step.sibling_on_right {
@@ -145,20 +145,6 @@ impl MerkleTree {
             };
         }
         &acc == root
-    }
-
-    /// [`MerkleTree::prove`] under its auditor-facing name: the inclusion
-    /// proof for leaf `index`, or `None` when out of range. Paired with
-    /// [`MerkleTree::verify_proof`].
-    pub fn inclusion_proof(&self, index: usize) -> Option<InclusionProof> {
-        self.prove(index)
-    }
-
-    /// [`MerkleTree::verify`] under its auditor-facing name: checks that
-    /// `leaf_data` is included under `root` via `proof`.
-    #[must_use]
-    pub fn verify_proof(root: &NodeHash, leaf_data: &[u8], proof: &InclusionProof) -> bool {
-        Self::verify(root, leaf_data, proof)
     }
 }
 
@@ -326,9 +312,9 @@ mod tests {
     fn single_leaf_tree() {
         let tree = MerkleTree::build([b"only".as_slice()]);
         assert_eq!(tree.leaf_count(), 1);
-        let proof = tree.prove(0).unwrap();
+        let proof = tree.inclusion_proof(0).unwrap();
         assert!(proof.is_empty());
-        assert!(MerkleTree::verify(&tree.root(), b"only", &proof));
+        assert!(MerkleTree::verify_proof(&tree.root(), b"only", &proof));
     }
 
     #[test]
@@ -337,9 +323,9 @@ mod tests {
             let data = leaves(n);
             let tree = MerkleTree::build(data.iter().map(|v| v.as_slice()));
             for (i, leaf) in data.iter().enumerate() {
-                let proof = tree.prove(i).unwrap();
+                let proof = tree.inclusion_proof(i).unwrap();
                 assert!(
-                    MerkleTree::verify(&tree.root(), leaf, &proof),
+                    MerkleTree::verify_proof(&tree.root(), leaf, &proof),
                     "n={n} leaf={i}"
                 );
             }
@@ -350,34 +336,34 @@ mod tests {
     fn proof_fails_for_wrong_leaf() {
         let data = leaves(8);
         let tree = MerkleTree::build(data.iter().map(|v| v.as_slice()));
-        let proof = tree.prove(3).unwrap();
-        assert!(!MerkleTree::verify(&tree.root(), b"leaf-4", &proof));
+        let proof = tree.inclusion_proof(3).unwrap();
+        assert!(!MerkleTree::verify_proof(&tree.root(), b"leaf-4", &proof));
     }
 
     #[test]
     fn proof_fails_for_wrong_root() {
         let data = leaves(4);
         let tree = MerkleTree::build(data.iter().map(|v| v.as_slice()));
-        let proof = tree.prove(0).unwrap();
+        let proof = tree.inclusion_proof(0).unwrap();
         let mut bad_root = tree.root();
         bad_root[0] ^= 1;
-        assert!(!MerkleTree::verify(&bad_root, b"leaf-0", &proof));
+        assert!(!MerkleTree::verify_proof(&bad_root, b"leaf-0", &proof));
     }
 
     #[test]
     fn proof_fails_when_tampered() {
         let data = leaves(8);
         let tree = MerkleTree::build(data.iter().map(|v| v.as_slice()));
-        let mut proof = tree.prove(2).unwrap();
+        let mut proof = tree.inclusion_proof(2).unwrap();
         proof[1].sibling[5] ^= 1;
-        assert!(!MerkleTree::verify(&tree.root(), b"leaf-2", &proof));
+        assert!(!MerkleTree::verify_proof(&tree.root(), b"leaf-2", &proof));
     }
 
     #[test]
     fn out_of_range_proof_is_none() {
         let data = leaves(3);
         let tree = MerkleTree::build(data.iter().map(|v| v.as_slice()));
-        assert!(tree.prove(3).is_none());
+        assert!(tree.inclusion_proof(3).is_none());
     }
 
     #[test]
@@ -438,18 +424,6 @@ mod tests {
             let tree = MerkleTree::build_from_hashes(digests[..=n].iter());
             assert_eq!(acc.root(), Some(tree.root()), "n={}", n + 1);
         }
-    }
-
-    #[test]
-    fn tree_inclusion_proof_pair_matches_prove_verify() {
-        let data = leaves(9);
-        let tree = MerkleTree::build(data.iter().map(|v| v.as_slice()));
-        for (i, leaf) in data.iter().enumerate() {
-            let proof = tree.inclusion_proof(i).unwrap();
-            assert_eq!(proof, tree.prove(i).unwrap());
-            assert!(MerkleTree::verify_proof(&tree.root(), leaf, &proof));
-        }
-        assert!(tree.inclusion_proof(9).is_none());
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! SHA-256 and SHA-512 (FIPS 180-4).
+//! SHA-256 (FIPS 180-4).
 //!
-//! Streaming implementations with the standard `update`/`finalize` shape and
-//! a one-shot [`Sha256::digest`] / [`Sha512::digest`] convenience. Validated
-//! against the FIPS 180-4 / NIST CAVP known-answer vectors in the tests.
+//! A streaming implementation with the standard `update`/`finalize` shape
+//! and a one-shot [`Sha256::digest`] convenience. Validated against the
+//! FIPS 180-4 / NIST CAVP known-answer vectors in the tests.
 
 /// SHA-256 round constants (first 32 bits of the fractional parts of the
 /// cube roots of the first 64 primes).
@@ -15,89 +15,6 @@ const K256: [u32; 64] = [
     0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-];
-
-const K512: [u64; 80] = [
-    0x428a2f98d728ae22,
-    0x7137449123ef65cd,
-    0xb5c0fbcfec4d3b2f,
-    0xe9b5dba58189dbbc,
-    0x3956c25bf348b538,
-    0x59f111f1b605d019,
-    0x923f82a4af194f9b,
-    0xab1c5ed5da6d8118,
-    0xd807aa98a3030242,
-    0x12835b0145706fbe,
-    0x243185be4ee4b28c,
-    0x550c7dc3d5ffb4e2,
-    0x72be5d74f27b896f,
-    0x80deb1fe3b1696b1,
-    0x9bdc06a725c71235,
-    0xc19bf174cf692694,
-    0xe49b69c19ef14ad2,
-    0xefbe4786384f25e3,
-    0x0fc19dc68b8cd5b5,
-    0x240ca1cc77ac9c65,
-    0x2de92c6f592b0275,
-    0x4a7484aa6ea6e483,
-    0x5cb0a9dcbd41fbd4,
-    0x76f988da831153b5,
-    0x983e5152ee66dfab,
-    0xa831c66d2db43210,
-    0xb00327c898fb213f,
-    0xbf597fc7beef0ee4,
-    0xc6e00bf33da88fc2,
-    0xd5a79147930aa725,
-    0x06ca6351e003826f,
-    0x142929670a0e6e70,
-    0x27b70a8546d22ffc,
-    0x2e1b21385c26c926,
-    0x4d2c6dfc5ac42aed,
-    0x53380d139d95b3df,
-    0x650a73548baf63de,
-    0x766a0abb3c77b2a8,
-    0x81c2c92e47edaee6,
-    0x92722c851482353b,
-    0xa2bfe8a14cf10364,
-    0xa81a664bbc423001,
-    0xc24b8b70d0f89791,
-    0xc76c51a30654be30,
-    0xd192e819d6ef5218,
-    0xd69906245565a910,
-    0xf40e35855771202a,
-    0x106aa07032bbd1b8,
-    0x19a4c116b8d2d0c8,
-    0x1e376c085141ab53,
-    0x2748774cdf8eeb99,
-    0x34b0bcb5e19b48a8,
-    0x391c0cb3c5c95a63,
-    0x4ed8aa4ae3418acb,
-    0x5b9cca4f7763e373,
-    0x682e6ff3d6b2b8a3,
-    0x748f82ee5defb2fc,
-    0x78a5636f43172f60,
-    0x84c87814a1f0ab72,
-    0x8cc702081a6439ec,
-    0x90befffa23631e28,
-    0xa4506cebde82bde9,
-    0xbef9a3f7b2c67915,
-    0xc67178f2e372532b,
-    0xca273eceea26619c,
-    0xd186b8c721c0c207,
-    0xeada7dd6cde0eb1e,
-    0xf57d4f7fee6ed178,
-    0x06f067aa72176fba,
-    0x0a637dc5a2c898a6,
-    0x113f9804bef90dae,
-    0x1b710b35131c471b,
-    0x28db77f523047d84,
-    0x32caab7b40c72493,
-    0x3c9ebe0a15c9bebc,
-    0x431d67c49c100d4c,
-    0x4cc5d4becb3e42b6,
-    0x597f299cfc657e2a,
-    0x5fcb6fab3ad6faec,
-    0x6c44198c4a475817,
 ];
 
 /// Streaming SHA-256 hasher.
@@ -251,157 +168,6 @@ impl Sha256 {
     }
 }
 
-/// Streaming SHA-512 hasher.
-///
-/// # Example
-///
-/// ```
-/// use cres_crypto::sha2::Sha512;
-/// let d = Sha512::digest(b"abc");
-/// assert_eq!(d.len(), 64);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Sha512 {
-    state: [u64; 8],
-    buffer: [u8; 128],
-    buffer_len: usize,
-    total_len: u128,
-}
-
-impl Default for Sha512 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Sha512 {
-    /// Output length in bytes.
-    pub const OUTPUT_LEN: usize = 64;
-    /// Internal block length in bytes.
-    pub const BLOCK_LEN: usize = 128;
-
-    /// Creates a fresh hasher.
-    pub fn new() -> Self {
-        Sha512 {
-            state: [
-                0x6a09e667f3bcc908,
-                0xbb67ae8584caa73b,
-                0x3c6ef372fe94f82b,
-                0xa54ff53a5f1d36f1,
-                0x510e527fade682d1,
-                0x9b05688c2b3e6c1f,
-                0x1f83d9abfb41bd6b,
-                0x5be0cd19137e2179,
-            ],
-            buffer: [0; 128],
-            buffer_len: 0,
-            total_len: 0,
-        }
-    }
-
-    /// Absorbs more input.
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.total_len += data.len() as u128;
-        if self.buffer_len > 0 {
-            let need = 128 - self.buffer_len;
-            let take = need.min(data.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
-            self.buffer_len += take;
-            data = &data[take..];
-            if self.buffer_len == 128 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-        while data.len() >= 128 {
-            let (block, rest) = data.split_at(128);
-            let mut b = [0u8; 128];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
-        }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
-    }
-
-    /// Finishes hashing and returns the 64-byte digest.
-    pub fn finalize(mut self) -> [u8; 64] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.buffer[self.buffer_len] = 0x80;
-        let mut pos = self.buffer_len + 1;
-        if pos > 112 {
-            self.buffer[pos..].fill(0);
-            let block = self.buffer;
-            self.compress(&block);
-            pos = 0;
-        }
-        self.buffer[pos..112].fill(0);
-        self.buffer[112..128].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
-
-        let mut out = [0u8; 64];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 8..i * 8 + 8].copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
-
-    /// One-shot digest of `data`.
-    pub fn digest(data: &[u8]) -> [u8; 64] {
-        let mut h = Sha512::new();
-        h.update(data);
-        h.finalize()
-    }
-
-    fn compress(&mut self, block: &[u8; 128]) {
-        let mut w = [0u64; 80];
-        for (i, chunk) in block.chunks_exact(8).enumerate() {
-            w[i] = u64::from_be_bytes(chunk.try_into().unwrap());
-        }
-        for i in 16..80 {
-            let s0 = w[i - 15].rotate_right(1) ^ w[i - 15].rotate_right(8) ^ (w[i - 15] >> 7);
-            let s1 = w[i - 2].rotate_right(19) ^ w[i - 2].rotate_right(61) ^ (w[i - 2] >> 6);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..80 {
-            let s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K512[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(28) ^ a.rotate_right(34) ^ a.rotate_right(39);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,54 +232,6 @@ mod tests {
             assert!(
                 digests.insert(Sha256::digest(&data)),
                 "collision at len {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn sha512_empty() {
-        assert_eq!(
-            hex::encode(&Sha512::digest(b"")),
-            "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce\
-             47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"
-                .replace(' ', "")
-        );
-    }
-
-    #[test]
-    fn sha512_abc() {
-        assert_eq!(
-            hex::encode(&Sha512::digest(b"abc")),
-            "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a\
-             2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"
-                .replace(' ', "")
-        );
-    }
-
-    #[test]
-    fn sha512_two_block() {
-        let msg = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
-                    ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
-        assert_eq!(
-            hex::encode(&Sha512::digest(msg)),
-            "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018\
-             501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909"
-                .replace(' ', "")
-        );
-    }
-
-    #[test]
-    fn sha512_streaming_matches_oneshot() {
-        let data: Vec<u8> = (0..2000u32).map(|i| (i % 251) as u8).collect();
-        for chunk_size in [1, 7, 127, 128, 129, 1000] {
-            let mut h = Sha512::new();
-            for c in data.chunks(chunk_size) {
-                h.update(c);
-            }
-            assert_eq!(
-                h.finalize().to_vec(),
-                Sha512::digest(&data).to_vec(),
-                "chunk={chunk_size}"
             );
         }
     }

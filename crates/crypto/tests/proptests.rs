@@ -11,7 +11,7 @@ use cres_crypto::hex;
 use cres_crypto::hmac::HmacSha256;
 use cres_crypto::merkle::{MerkleAccumulator, MerkleTree};
 use cres_crypto::modes;
-use cres_crypto::sha2::{Sha256, Sha512};
+use cres_crypto::sha2::Sha256;
 use proptest::prelude::*;
 
 fn biguint_strategy() -> impl Strategy<Value = BigUint> {
@@ -116,18 +116,6 @@ proptest! {
     }
 
     #[test]
-    fn sha512_streaming_equals_oneshot(
-        data in proptest::collection::vec(any::<u8>(), 0..500),
-        split in 0usize..500
-    ) {
-        let split = split.min(data.len());
-        let mut h = Sha512::new();
-        h.update(&data[..split]);
-        h.update(&data[split..]);
-        prop_assert_eq!(h.finalize().to_vec(), Sha512::digest(&data).to_vec());
-    }
-
-    #[test]
     fn aes_round_trips(key in proptest::collection::vec(any::<u8>(), 16..=16), block: [u8; 16]) {
         let aes = Aes::new(&key).unwrap();
         let mut b = block;
@@ -186,8 +174,8 @@ proptest! {
     ) {
         let tree = MerkleTree::build(leaves.iter().map(|v| v.as_slice()));
         let idx = pick % leaves.len();
-        let proof = tree.prove(idx).unwrap();
-        prop_assert!(MerkleTree::verify(&tree.root(), &leaves[idx], &proof));
+        let proof = tree.inclusion_proof(idx).unwrap();
+        prop_assert!(MerkleTree::verify_proof(&tree.root(), &leaves[idx], &proof));
     }
 
     #[test]

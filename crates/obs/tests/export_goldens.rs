@@ -74,10 +74,10 @@ fn golden_capture() -> ObsCapture {
     ObsCapture::from_run(0, report, &platform)
 }
 
-fn golden_fleet(workers: usize) -> FleetObservation {
+fn fleet(mix: &AttackMix, workers: usize) -> FleetObservation {
     let mut config = FleetConfig::new(24, GOLDEN_SEED);
     config.device_cycles = 60_000;
-    config.mix = AttackMix::campaign("code-injection");
+    config.mix = mix.clone();
     observe_fleet(
         &config,
         &FleetSocConfig::default(),
@@ -104,7 +104,7 @@ fn device_artifacts_match_committed_goldens() {
 
 #[test]
 fn fleet_artifacts_match_committed_goldens() {
-    let observation = golden_fleet(2);
+    let observation = fleet(&AttackMix::campaign("code-injection"), 2);
     let jsonl = fleet_jsonl(&observation);
     let prom = fleet_prometheus(&observation.report.verdict);
     check_jsonl(&jsonl).expect("golden fleet log fails lint");
@@ -114,23 +114,28 @@ fn fleet_artifacts_match_committed_goldens() {
 }
 
 /// The worker-invariance pin: the exported bytes — not just the verdict —
-/// must be identical at 1, 2 and 8 workers. Sharding is scheduling, and
-/// scheduling must be invisible in the artifacts.
+/// must be identical at 1, 2 and 8 workers, for the golden campaign fleet
+/// and for the standard attack mix. Sharding is scheduling, and scheduling
+/// must be invisible in the artifacts.
 #[test]
 fn fleet_artifacts_byte_identical_across_worker_counts() {
-    let mut reference: Option<(String, String)> = None;
-    for workers in [1usize, 2, 8] {
-        let observation = golden_fleet(workers);
-        let artifacts = (
-            fleet_jsonl(&observation),
-            fleet_prometheus(&observation.report.verdict),
-        );
-        match &reference {
-            None => reference = Some(artifacts),
-            Some(expected) => assert_eq!(
-                expected, &artifacts,
-                "fleet artifacts diverged at {workers} workers"
-            ),
+    for mix in [AttackMix::campaign("code-injection"), AttackMix::standard()] {
+        let mut reference: Option<(String, String)> = None;
+        for workers in [1usize, 2, 8] {
+            let observation = fleet(&mix, workers);
+            let artifacts = (
+                fleet_jsonl(&observation),
+                fleet_prometheus(&observation.report.verdict),
+            );
+            check_jsonl(&artifacts.0).expect("fleet log fails lint");
+            check_prom(&artifacts.1).expect("fleet exposition fails lint");
+            match &reference {
+                None => reference = Some(artifacts),
+                Some(expected) => assert_eq!(
+                    expected, &artifacts,
+                    "{mix:?} fleet artifacts diverged at {workers} workers"
+                ),
+            }
         }
     }
 }

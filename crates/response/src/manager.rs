@@ -7,7 +7,6 @@ use cres_soc::task::{Criticality, TaskId, TaskState};
 use cres_soc::Soc;
 use cres_ssm::{DegradationTier, ResponseAction, ResponsePlan};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 
 /// Result of executing one action.
@@ -76,7 +75,6 @@ pub struct ResponseManager {
     tier: DegradationTier,
     /// Tasks suspended by tier posture, awaiting a looser tier.
     policy_suspended: Vec<TaskId>,
-    distrusted_sensors: HashSet<usize>,
 }
 
 impl ResponseManager {
@@ -88,7 +86,6 @@ impl ResponseManager {
             suspended_by_degrade: Vec::new(),
             tier: DegradationTier::Full,
             policy_suspended: Vec::new(),
-            distrusted_sensors: HashSet::new(),
         }
     }
 
@@ -106,11 +103,6 @@ impl ResponseManager {
     /// The tier posture currently applied to the SoC.
     pub fn tier(&self) -> DegradationTier {
         self.tier
-    }
-
-    /// True when sensor `idx` has been marked untrustworthy.
-    pub fn is_distrusted(&self, idx: usize) -> bool {
-        self.distrusted_sensors.contains(&idx)
     }
 
     /// Executes a full plan in order, recording one `respond` span per
@@ -229,9 +221,10 @@ impl ResponseManager {
                 }
                 ActionOutcome::Success
             }
+            // Recorded in the evidence chain only: nothing in the model
+            // reads sensor trust.
             ResponseAction::DistrustSensor(idx) => {
                 if idx < soc.sensors.len() {
-                    self.distrusted_sensors.insert(idx);
                     ActionOutcome::Success
                 } else {
                     ActionOutcome::Skipped(format!("no sensor {idx}"))
@@ -667,8 +660,8 @@ mod tests {
         let mut b = NullRecoveryBackend::new();
         m.execute(ResponseAction::LockActuators, t0(), &mut soc, &mut b);
         assert!(soc.actuators[0].is_locked_out());
-        m.execute(ResponseAction::DistrustSensor(0), t0(), &mut soc, &mut b);
-        assert!(m.is_distrusted(0));
+        let rec = m.execute(ResponseAction::DistrustSensor(0), t0(), &mut soc, &mut b);
+        assert_eq!(rec.outcome, ActionOutcome::Success);
         let rec = m.execute(ResponseAction::DistrustSensor(9), t0(), &mut soc, &mut b);
         assert!(matches!(rec.outcome, ActionOutcome::Skipped(_)));
     }

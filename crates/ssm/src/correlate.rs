@@ -4,11 +4,18 @@
 //! benign bug. The engine applies three rule shapes before declaring an
 //! incident:
 //!
-//! * **immediate** — any `Critical` event is an incident by itself;
-//! * **threshold** — N events of one capability at ≥ severity within a
-//!   window (e.g. repeated guarded-region probes ⇒ reconnaissance);
-//! * **sequence** — capability A followed by capability B within a window
-//!   (e.g. policy violation then exfil signature ⇒ staged intrusion).
+//! * **immediate** — any `Alert` or `Critical` event is an incident by
+//!   itself;
+//! * **threshold** — [`THRESHOLD`] `Warning` events of one capability
+//!   within [`WINDOW`] cycles (e.g. repeated guarded-region probes ⇒
+//!   reconnaissance);
+//! * **sequence** — an incident of a different kind within
+//!   [`ESCALATION_WINDOW`] cycles of the previous one is escalated to
+//!   `Critical` (e.g. policy violation then exfil signature ⇒ staged
+//!   intrusion).
+//!
+//! In sensing-degraded mode the threshold drops by one and the windows
+//! widen 4× and 2× respectively.
 //!
 //! Ablation A1 runs the platform with the engine disabled (every Warning+
 //! event becomes an incident) to quantify the false-positive cost.
@@ -117,30 +124,26 @@ fn classify(event: &MonitorEvent) -> IncidentKind {
     }
 }
 
+/// Threshold rule: this many same-capability `Warning` events inside
+/// [`WINDOW`] raise an incident.
+pub const THRESHOLD: u32 = 3;
+/// Threshold-rule window length.
+pub const WINDOW: SimDuration = SimDuration::cycles(200_000);
+/// Sequence rule: a second incident of a *different* kind within this
+/// window of the previous incident is escalated to `Critical`.
+pub const ESCALATION_WINDOW: SimDuration = SimDuration::cycles(500_000);
+
 /// Correlation engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CorrelationConfig {
     /// Enable threshold/sequence correlation. When off, every event at
     /// `Warning` or above immediately becomes an incident (ablation A1).
     pub enabled: bool,
-    /// Threshold rule: this many same-capability `Warning`+ events inside
-    /// the window raise an incident.
-    pub threshold: u32,
-    /// Correlation window length.
-    pub window: SimDuration,
-    /// Sequence rule: a second incident of a *different* kind within this
-    /// window of the previous incident is escalated to `Critical`.
-    pub escalation_window: SimDuration,
 }
 
 impl Default for CorrelationConfig {
     fn default() -> Self {
-        CorrelationConfig {
-            enabled: true,
-            threshold: 3,
-            window: SimDuration::cycles(200_000),
-            escalation_window: SimDuration::cycles(500_000),
-        }
+        CorrelationConfig { enabled: true }
     }
 }
 
@@ -187,21 +190,21 @@ impl CorrelationEngine {
     }
 
     /// Threshold-rule event count currently in force (one lower when
-    /// degraded, floored at 2 so a single Warning still never raises).
+    /// degraded, so two Warnings suffice but a single one never raises).
     pub fn effective_threshold(&self) -> u32 {
         if self.degraded {
-            self.config.threshold.saturating_sub(1).max(2)
+            THRESHOLD - 1
         } else {
-            self.config.threshold
+            THRESHOLD
         }
     }
 
     /// Threshold-rule window currently in force (4× when degraded).
     pub fn effective_window(&self) -> SimDuration {
         if self.degraded {
-            SimDuration::cycles(self.config.window.as_cycles().saturating_mul(4))
+            SimDuration::cycles(WINDOW.as_cycles() * 4)
         } else {
-            self.config.window
+            WINDOW
         }
     }
 
@@ -209,9 +212,9 @@ impl CorrelationEngine {
     /// degraded).
     pub fn effective_escalation_window(&self) -> SimDuration {
         if self.degraded {
-            SimDuration::cycles(self.config.escalation_window.as_cycles().saturating_mul(2))
+            SimDuration::cycles(ESCALATION_WINDOW.as_cycles() * 2)
         } else {
-            self.config.escalation_window
+            ESCALATION_WINDOW
         }
     }
 
@@ -230,7 +233,8 @@ impl CorrelationEngine {
         if !self.config.enabled {
             return Some(self.raise(now, event, classify(event), health));
         }
-        // Immediate rule: Critical events are incidents on their own.
+        // Immediate rule: Alert and Critical events are incidents on their
+        // own.
         if event.severity >= Severity::Alert {
             return Some(self.raise(now, event, classify(event), health));
         }
@@ -418,7 +422,7 @@ mod tests {
     #[test]
     fn warnings_outside_window_do_not_accumulate() {
         let mut e = engine();
-        let w = CorrelationConfig::default().window.as_cycles();
+        let w = WINDOW.as_cycles();
         for i in 0..5 {
             assert!(
                 e.ingest(
@@ -465,10 +469,7 @@ mod tests {
 
     #[test]
     fn disabled_engine_raises_everything() {
-        let mut e = CorrelationEngine::new(CorrelationConfig {
-            enabled: false,
-            ..Default::default()
-        });
+        let mut e = CorrelationEngine::new(CorrelationConfig { enabled: false });
         let inc = e.ingest(
             SimTime::at_cycle(0),
             &ev(
@@ -639,7 +640,7 @@ mod tests {
     #[test]
     fn escalation_window_expires() {
         let mut e = engine();
-        let w = CorrelationConfig::default().escalation_window.as_cycles();
+        let w = ESCALATION_WINDOW.as_cycles();
         e.ingest(
             SimTime::at_cycle(0),
             &ev(0, DetectionCapability::BusPolicing, Severity::Alert, "x"),
@@ -663,10 +664,7 @@ mod tests {
 
     #[test]
     fn disabled_engine_never_escalates() {
-        let mut e = CorrelationEngine::new(CorrelationConfig {
-            enabled: false,
-            ..Default::default()
-        });
+        let mut e = CorrelationEngine::new(CorrelationConfig { enabled: false });
         e.ingest(
             SimTime::at_cycle(0),
             &ev(0, DetectionCapability::BusPolicing, Severity::Warning, "x"),
@@ -691,41 +689,16 @@ mod tests {
     #[test]
     fn degraded_mode_widens_windows_and_lowers_threshold() {
         let mut e = engine();
-        let config = CorrelationConfig::default();
-        assert_eq!(e.effective_threshold(), config.threshold);
-        assert_eq!(e.effective_window(), config.window);
-        assert_eq!(e.effective_escalation_window(), config.escalation_window);
+        assert_eq!(e.effective_threshold(), 3);
+        assert_eq!(e.effective_window(), WINDOW);
+        assert_eq!(e.effective_escalation_window(), ESCALATION_WINDOW);
         e.set_degraded(true);
         assert!(e.is_degraded());
-        assert_eq!(e.effective_threshold(), config.threshold - 1);
-        assert_eq!(
-            e.effective_window().as_cycles(),
-            config.window.as_cycles() * 4
-        );
-        assert_eq!(
-            e.effective_escalation_window().as_cycles(),
-            config.escalation_window.as_cycles() * 2
-        );
-        e.set_degraded(false);
-        assert_eq!(e.effective_threshold(), config.threshold);
-    }
-
-    #[test]
-    fn degraded_threshold_never_drops_below_two() {
-        let mut e = CorrelationEngine::new(CorrelationConfig {
-            threshold: 2,
-            ..Default::default()
-        });
-        e.set_degraded(true);
         assert_eq!(e.effective_threshold(), 2);
-        // A single Warning must still never raise on its own.
-        assert!(e
-            .ingest(
-                SimTime::at_cycle(0),
-                &ev(0, DetectionCapability::BusPolicing, Severity::Warning, "d"),
-                HealthState::Degraded
-            )
-            .is_none());
+        assert_eq!(e.effective_window().as_cycles(), 800_000);
+        assert_eq!(e.effective_escalation_window().as_cycles(), 1_000_000);
+        e.set_degraded(false);
+        assert_eq!(e.effective_threshold(), THRESHOLD);
     }
 
     #[test]

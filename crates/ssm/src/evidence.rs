@@ -271,7 +271,7 @@ impl EvidenceStore {
         proof: &InclusionProof,
         root: &[u8; 32],
     ) -> bool {
-        MerkleTree::verify(root, &record.mac, proof)
+        MerkleTree::verify_proof(root, &record.mac, proof)
     }
 
     /// **Attack surface for E6/E7**: mutable access to the raw records, as

@@ -6,6 +6,10 @@
 //! progress), and a completed recovery with a quiet observation window
 //! returns it to `Healthy`. Experiments use the recorded transition history
 //! to compute time-in-state availability.
+//!
+//! [`MonitorHealth`] tracks the monitor fleet's heartbeats alongside it
+//! when a fault plane is armed: a monitor silent for more than
+//! [`MISS_THRESHOLD`] sampling periods is quarantined.
 
 use cres_monitor::Severity;
 use cres_sim::{SimDuration, SimTime};
@@ -129,14 +133,18 @@ impl SystemHealth {
     }
 }
 
+/// Heartbeat periods a monitor may stay silent before the SSM quarantines
+/// it.
+pub const MISS_THRESHOLD: u64 = 3;
+
 /// Heartbeat-based liveness tracking for the monitor fleet.
 ///
 /// Every periodic sampling round each live monitor reports a heartbeat; a
-/// monitor that misses [`MonitorHealth::miss_threshold`] consecutive rounds
-/// is declared dead and **quarantined** — the SSM stops trusting its
-/// silence, records the loss as evidence, and switches the correlation
-/// engine into sensing-degraded mode so the remaining monitors compensate
-/// instead of the platform going blind.
+/// monitor that misses [`MISS_THRESHOLD`] consecutive rounds is declared
+/// dead and **quarantined** — the SSM stops trusting its silence, records
+/// the loss as evidence, and switches the correlation engine into
+/// sensing-degraded mode so the remaining monitors compensate instead of
+/// the platform going blind.
 ///
 /// # Example
 ///
@@ -144,7 +152,7 @@ impl SystemHealth {
 /// use cres_ssm::MonitorHealth;
 /// use cres_sim::{SimDuration, SimTime};
 ///
-/// let mut health = MonitorHealth::new(2, SimDuration::cycles(1_000), 3);
+/// let mut health = MonitorHealth::new(2, SimDuration::cycles(1_000));
 /// health.heartbeat(0, SimTime::at_cycle(1_000));
 /// health.heartbeat(1, SimTime::at_cycle(1_000));
 /// // Monitor 1 falls silent; three missed deadlines later it is quarantined.
@@ -162,30 +170,21 @@ pub struct MonitorHealth {
     quarantined: Vec<bool>,
     /// Expected heartbeat period (the platform's monitor sampling period).
     period: SimDuration,
-    /// Consecutive missed periods tolerated before quarantine.
-    miss_threshold: u32,
 }
 
 impl MonitorHealth {
-    /// Creates a tracker for `count` monitors beating every `period`,
-    /// tolerating `miss_threshold` missed periods.
-    pub fn new(count: usize, period: SimDuration, miss_threshold: u32) -> Self {
+    /// Creates a tracker for `count` monitors beating every `period`.
+    pub fn new(count: usize, period: SimDuration) -> Self {
         MonitorHealth {
             last_seen: vec![None; count],
             quarantined: vec![false; count],
             period,
-            miss_threshold: miss_threshold.max(1),
         }
     }
 
     /// Number of monitors tracked.
     pub fn monitor_count(&self) -> usize {
         self.last_seen.len()
-    }
-
-    /// Consecutive missed periods tolerated before quarantine.
-    pub fn miss_threshold(&self) -> u32 {
-        self.miss_threshold
     }
 
     /// Records a heartbeat from monitor `index` at `now`. Heartbeats from a
@@ -202,13 +201,10 @@ impl MonitorHealth {
 
     /// Sweeps all monitors at `now` and returns the indices quarantined by
     /// *this* sweep (each index is returned exactly once per run). A monitor
-    /// is dead once `now` is more than `miss_threshold × period` past its
+    /// is dead once `now` is more than `MISS_THRESHOLD × period` past its
     /// last heartbeat; monitors that never beat are measured from cycle 0.
     pub fn check(&mut self, now: SimTime) -> Vec<usize> {
-        let deadline = self
-            .period
-            .as_cycles()
-            .saturating_mul(self.miss_threshold as u64);
+        let deadline = self.period.as_cycles().saturating_mul(MISS_THRESHOLD);
         let mut newly_dead = Vec::new();
         for index in 0..self.last_seen.len() {
             if self.quarantined[index] {
@@ -326,7 +322,7 @@ mod tests {
     }
 
     fn beats() -> MonitorHealth {
-        MonitorHealth::new(3, SimDuration::cycles(1_000), 3)
+        MonitorHealth::new(3, SimDuration::cycles(1_000))
     }
 
     #[test]

@@ -125,10 +125,10 @@ impl SystemSecurityManager {
 
     /// Arms heartbeat-based liveness tracking for a fleet of `count`
     /// monitors sampled every `period`. A monitor that misses
-    /// `miss_threshold` consecutive periods is quarantined by
-    /// [`SystemSecurityManager::check_monitor_health`].
-    pub fn init_monitor_health(&mut self, count: usize, period: SimDuration, miss_threshold: u32) {
-        self.monitor_health = Some(MonitorHealth::new(count, period, miss_threshold));
+    /// [`crate::health::MISS_THRESHOLD`] consecutive periods is quarantined
+    /// by [`SystemSecurityManager::check_monitor_health`].
+    pub fn init_monitor_health(&mut self, count: usize, period: SimDuration) {
+        self.monitor_health = Some(MonitorHealth::new(count, period));
     }
 
     /// Records a heartbeat from monitor `index` at `now` (called by the
@@ -579,7 +579,7 @@ mod tests {
     #[test]
     fn monitor_health_quarantines_and_degrades_correlation() {
         let mut s = ssm();
-        s.init_monitor_health(2, cres_sim::SimDuration::cycles(1_000), 3);
+        s.init_monitor_health(2, cres_sim::SimDuration::cycles(1_000));
         assert!(!s.sensing_degraded());
         // Monitor 0 beats, monitor 1 never does.
         for round in 1..=5u64 {

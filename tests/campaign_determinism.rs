@@ -79,8 +79,11 @@ fn cells() -> Vec<(PlatformConfig, ScenarioSpec)> {
             // must not dent determinism either: its RNG stream is forked
             // per-platform, never shared across workers.
             let mut faulted_config = PlatformConfig::new(profile, seed);
-            faulted_config.faultplane =
-                cres::platform::FaultPlaneConfig::sweep_cell(0.15, 1, 40_000);
+            faulted_config.faultplane = Some(cres::platform::FaultPlaneConfig {
+                loss: 0.15,
+                crashed: 1,
+                crash_at: 40_000,
+            });
             cells.push((
                 faulted_config,
                 ScenarioSpec::quiet(SimDuration::cycles(DURATION)).attack(

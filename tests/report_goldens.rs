@@ -14,8 +14,13 @@
 //!
 //! and review the diff like any other behavioural change.
 
-use cres::attacks::{CodeInjectionAttack, DebugPortAttack, ExfilAttack, SensorSpoofAttack};
-use cres::platform::{PlatformConfig, PlatformProfile, RunReport, Scenario, ScenarioRunner};
+use cres::attacks::catalog::try_build;
+use cres::attacks::{
+    CodeInjectionAttack, DebugPortAttack, ExfilAttack, NetworkFloodAttack, SensorSpoofAttack,
+};
+use cres::platform::{
+    FaultPlaneConfig, PlatformConfig, PlatformProfile, RunReport, Scenario, ScenarioRunner,
+};
 use cres::sim::{SimDuration, SimTime};
 use cres::soc::periph::SensorSpoof;
 use cres::soc::soc::layout;
@@ -143,4 +148,58 @@ fn policy_report_matches_committed_golden() {
         .as_ref()
         .expect("policy run carries the availability block");
     assert!(detail.critical_offered > 0);
+}
+
+/// The fault-plane sweep: E11's cell geometry over the golden scenario,
+/// with a sustained flood and memory probe so that every fault kind (and
+/// the retry ladder) fires. One report line per (loss, crashed) cell,
+/// crash at 100k. A single cell does not pin the derived fault rates: at
+/// 30% loss alone, several one-constant changes to the plane leave its
+/// bytes unchanged, so the golden spans three loss levels with and without
+/// a crashed monitor.
+#[test]
+fn faultplane_reports_match_committed_golden() {
+    let mut lines = String::new();
+    for loss in [0.1, 0.2, 0.3] {
+        for crashed in [0, 1] {
+            let mut config = PlatformConfig::new(PlatformProfile::CyberResilient, GOLDEN_SEED);
+            config.faultplane = Some(FaultPlaneConfig {
+                loss,
+                crashed,
+                crash_at: 100_000,
+            });
+            let scenario = golden_scenario()
+                .attack(
+                    SimTime::at_cycle(300_000),
+                    SimDuration::cycles(2_000),
+                    Box::new(NetworkFloodAttack::new(300, 20)),
+                )
+                .attack(
+                    SimTime::at_cycle(500_000),
+                    SimDuration::cycles(3_000),
+                    try_build("memory-probe").expect("catalog attack"),
+                );
+            lines.push_str(&ScenarioRunner::new(config).run(scenario).to_json());
+            lines.push('\n');
+        }
+    }
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/report_faultplane.jsonl");
+    if bless_mode() {
+        std::fs::write(&path, &lines).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); run CRES_BLESS=1 cargo test --test report_goldens",
+            path.display()
+        )
+    });
+    assert_eq!(
+        lines,
+        golden,
+        "fault-plane sweep diverged from {} — if intentional, re-bless and review the diff",
+        path.display()
+    );
 }
