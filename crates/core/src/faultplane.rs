@@ -186,8 +186,10 @@ impl FaultPlane {
         now.cycle() >= self.crash_at && self.crashed.contains(&index)
     }
 
-    /// True when delayed events are waiting for a later batch — the runner
-    /// must keep pumping even when a sampling round itself is empty.
+    /// True when delayed events are waiting for a later batch. A test
+    /// accessor: the runner never asks, because every sampling round calls
+    /// [`FaultPlane::filter_events`], and that call releases the held
+    /// events that are due, even when the round itself is empty.
     pub fn pending(&self) -> bool {
         !self.delayed.is_empty()
     }

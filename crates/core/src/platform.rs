@@ -180,6 +180,9 @@ struct Recycled {
     /// [`TelemetryRecorder::reset`]) whenever the new config has telemetry
     /// on.
     telemetry: Option<TelemetryRecorder>,
+    /// The previous SoC, whose memory image and tap ring the new one
+    /// reuses (via [`SocBuilder::rebuild`]).
+    soc: Option<Soc>,
 }
 
 impl Platform {
@@ -199,11 +202,16 @@ impl Platform {
     }
 
     /// Re-provisions this platform in place for a new job, reusing the
-    /// event buffer, the SSM's evidence/intern storage and (when telemetry
-    /// stays on) the telemetry recorder. Everything else is
-    /// rebuilt exactly as [`Platform::from_provisioned`] would — the pooled
-    /// run is bit-identical to a fresh one (pinned by proptest).
+    /// event buffer, the SSM's evidence/intern storage, the SoC's memory
+    /// image and tap ring and (when telemetry stays on) the telemetry
+    /// recorder. Everything else is rebuilt exactly as
+    /// [`Platform::from_provisioned`] would — the pooled run is
+    /// bit-identical to a fresh one (pinned by proptest).
     pub fn reset(&mut self, config: PlatformConfig, provisioned: Provisioned) {
+        // The old SoC's memory image and tap ring become the new SoC's, so
+        // the pool never holds two, and a pooled acquire neither allocates
+        // nor frees them.
+        let soc = mem::replace(&mut self.soc, SocBuilder::new().bus_ring(1).build());
         let mut event_buf = mem::take(&mut self.event_buf);
         event_buf.clear();
         let telemetry = self.telemetry.take();
@@ -220,6 +228,7 @@ impl Platform {
                 event_buf,
                 ssm: Some(ssm),
                 telemetry,
+                soc: Some(soc),
             },
         );
     }
@@ -237,12 +246,15 @@ impl Platform {
             bootloader,
         } = provisioned;
 
-        let mut soc = SocBuilder::with_standard_layout(config.seed)
+        let builder = SocBuilder::with_standard_layout(config.seed)
             .watchdog_timeout(WATCHDOG_TIMEOUT)
             .sensor(Sensor::new("grid_freq", 50.0, 0.05, 100_000, 0.002))
             .sensor(Sensor::new("line_temp", 40.0, 2.0, 1_000_000, 0.1))
-            .actuator(Actuator::new("breaker", 0.0, 100.0))
-            .build();
+            .actuator(Actuator::new("breaker", 0.0, 100.0));
+        let mut soc = match recycled.soc {
+            Some(old) => builder.rebuild(old),
+            None => builder.build(),
+        };
 
         // Load firmware into simulated flash for bus-level realism.
         let app = slots.active_bytes().to_vec();

@@ -9,6 +9,10 @@ use crate::sha2::Sha256;
 
 /// Streaming HMAC-SHA-256.
 ///
+/// A keyed instance holds both hashes with their pad blocks already
+/// absorbed, so a clone of it MACs another message under the same key
+/// without rehashing the key.
+///
 /// # Example
 ///
 /// ```
@@ -20,7 +24,7 @@ use crate::sha2::Sha256;
 #[derive(Debug, Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; 64],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -44,10 +48,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            opad_key: opad,
-        }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -57,10 +60,8 @@ impl HmacSha256 {
 
     /// Finishes and returns the 32-byte tag.
     pub fn finalize(self) -> [u8; 32] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 

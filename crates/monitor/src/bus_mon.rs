@@ -42,10 +42,29 @@ impl AccessWindow {
     }
 }
 
+/// Bit of a read in a compiled policy entry.
+const READ: u8 = 1;
+/// Bit of a write in a compiled policy entry.
+const WRITE: u8 = 2;
+/// Bit of a fetch in a compiled policy entry.
+const EXEC: u8 = 4;
+
+/// The bit `op` owns in a compiled policy entry.
+fn op_bit(op: BusOp) -> u8 {
+    match op {
+        BusOp::Read => READ,
+        BusOp::Write => WRITE,
+        BusOp::Exec => EXEC,
+    }
+}
+
 /// Bus transaction policing against mission policy windows.
 #[derive(Debug, Clone)]
 pub struct BusPolicyMonitor {
-    windows: Vec<AccessWindow>,
+    /// The windows compiled to one op bitmask per master, indexed by region
+    /// id and then by [`MasterId::index`]; a region past the end is in no
+    /// window.
+    policy: Vec<[u8; MasterId::ALL.len()]>,
     cursor: TxnCursor,
     flag_debug_port: bool,
     out_of_policy: u64,
@@ -56,8 +75,17 @@ impl BusPolicyMonitor {
     /// raises an alert on any DEBUG-master activity (production devices
     /// should see none).
     pub fn new(windows: Vec<AccessWindow>, flag_debug_port: bool) -> Self {
+        let regions = windows.iter().map(|w| w.region.0 as usize + 1).max();
+        let mut policy = vec![[0; MasterId::ALL.len()]; regions.unwrap_or(0)];
+        for w in &windows {
+            let mask = [(w.read, READ), (w.write, WRITE), (w.exec, EXEC)]
+                .into_iter()
+                .filter(|&(allowed, _)| allowed)
+                .fold(0, |mask, (_, bit)| mask | bit);
+            policy[w.region.0 as usize][w.master.index()] |= mask;
+        }
         BusPolicyMonitor {
-            windows,
+            policy,
             cursor: TxnCursor::default(),
             flag_debug_port,
             out_of_policy: 0,
@@ -69,10 +97,11 @@ impl BusPolicyMonitor {
         self.out_of_policy
     }
 
+    /// True when some window lets `master` perform `op` on `region`.
     fn in_policy(&self, master: MasterId, region: RegionId, op: BusOp) -> bool {
-        self.windows
-            .iter()
-            .any(|w| w.master == master && w.region == region && w.allows(op))
+        self.policy
+            .get(region.0 as usize)
+            .is_some_and(|masks| masks[master.index()] & op_bit(op) != 0)
     }
 }
 

@@ -129,7 +129,7 @@ impl MasterId {
     }
 
     /// Dense index of the master: its position in [`MasterId::ALL`].
-    pub(crate) const fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         self as usize
     }
 

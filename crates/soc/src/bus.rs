@@ -128,8 +128,27 @@ impl Bus {
     /// Panics if `ring_capacity` is zero.
     pub fn new(ring_capacity: usize) -> Self {
         assert!(ring_capacity > 0, "tap ring capacity must be non-zero");
+        Self::with_ring(VecDeque::with_capacity(ring_capacity), ring_capacity)
+    }
+
+    /// [`Bus::new`], reusing this bus's tap-ring storage when it holds
+    /// `ring_capacity` records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ring_capacity` is zero.
+    pub(crate) fn renew(mut self, ring_capacity: usize) -> Self {
+        if ring_capacity != self.ring_capacity {
+            return Self::new(ring_capacity);
+        }
+        self.ring.clear();
+        Self::with_ring(self.ring, ring_capacity)
+    }
+
+    /// A fresh bus around an empty `ring` with room for `ring_capacity`.
+    fn with_ring(ring: VecDeque<TxnRecord>, ring_capacity: usize) -> Self {
         Bus {
-            ring: VecDeque::with_capacity(ring_capacity),
+            ring,
             ring_capacity,
             next_seq: 0,
             evicted: 0,
@@ -173,10 +192,8 @@ impl Bus {
         len: u64,
         mem: &'m MemoryMap,
     ) -> Result<&'m [u8], BusError> {
-        self.admit(at, master, BusOp::Read, addr, len, mem)?;
-        Ok(mem
-            .read(master, addr, len)
-            .expect("admitted read must succeed"))
+        let region = self.admit(at, master, BusOp::Read, addr, len, mem)?;
+        Ok(mem.bytes(region, addr, len))
     }
 
     /// Performs a checked write through the interconnect.
@@ -192,9 +209,9 @@ impl Bus {
         data: &[u8],
         mem: &mut MemoryMap,
     ) -> Result<(), BusError> {
-        self.admit(at, master, BusOp::Write, addr, data.len() as u64, mem)?;
-        mem.write(master, addr, data)
-            .expect("admitted write must succeed");
+        let len = data.len() as u64;
+        let region = self.admit(at, master, BusOp::Write, addr, len, mem)?;
+        mem.bytes_mut(region, addr, len).copy_from_slice(data);
         Ok(())
     }
 
@@ -213,9 +230,8 @@ impl Bus {
         byte: u8,
         mem: &mut MemoryMap,
     ) -> Result<(), BusError> {
-        self.admit(at, master, BusOp::Write, addr, len, mem)?;
-        mem.fill(master, addr, len, byte)
-            .expect("admitted fill must succeed");
+        let region = self.admit(at, master, BusOp::Write, addr, len, mem)?;
+        mem.bytes_mut(region, addr, len).fill(byte);
         Ok(())
     }
 
@@ -234,9 +250,12 @@ impl Bus {
         mem: &MemoryMap,
     ) -> Result<(), BusError> {
         self.admit(at, master, BusOp::Exec, addr, len, mem)
+            .map(|_| ())
     }
 
     /// Common admission path: gate check, MPU check, record, account.
+    /// Finds the target region once, for the record and the MPU alike, and
+    /// returns it when the access is granted.
     fn admit(
         &mut self,
         at: SimTime,
@@ -245,17 +264,16 @@ impl Bus {
         addr: Addr,
         len: u64,
         mem: &MemoryMap,
-    ) -> Result<(), BusError> {
-        let region = mem.region_at(addr).map(|r| r.id());
-        let result: Result<(), BusError> = if self.is_gated(master) {
+    ) -> Result<RegionId, BusError> {
+        let hit = mem.region_at(addr);
+        let result = if self.is_gated(master) {
             Err(BusError::MasterGated(master))
         } else {
-            mem.check(master, op, addr, len)
-                .map(|_| ())
+            mem.permit(hit, master, op, addr, len)
                 .map_err(BusError::from)
         };
         let outcome = match &result {
-            Ok(()) => TxnOutcome::Granted,
+            Ok(_) => TxnOutcome::Granted,
             Err(e) => TxnOutcome::Denied(*e),
         };
         self.record(TxnRecord {
@@ -265,12 +283,12 @@ impl Bus {
             op,
             addr,
             len,
-            region,
+            region: hit.map(|r| r.id()),
             outcome,
         });
         let stats = &mut self.stats[master.index()];
         match &result {
-            Ok(()) => {
+            Ok(_) => {
                 stats.granted += 1;
                 stats.bytes += len;
             }

@@ -9,14 +9,28 @@
 
 use crate::addr::{Addr, AddrRange, BusOp, MasterId, Perms, RegionId};
 use std::fmt;
+use std::ops::Range;
 
-/// A contiguous region of backed physical memory.
+/// Length of [`ZEROS`]: the largest region that can wait for its first
+/// write before it is backed. It covers every [`crate::soc::layout`]
+/// region; a larger region is backed when it is added.
+const ZERO_BLOCK: usize = 0x4_0000;
+
+/// What every never-written region reads as, shared by all of them.
+static ZEROS: [u8; ZERO_BLOCK] = [0; ZERO_BLOCK];
+
+/// A contiguous region of physical memory.
 #[derive(Debug, Clone)]
 pub struct MemoryRegion {
     id: RegionId,
     name: String,
     range: AddrRange,
+    /// The region's bytes, allocated on its first write; empty until then,
+    /// when the region reads as [`ZEROS`].
     data: Vec<u8>,
+    /// The span of `data` written since it was allocated or last wiped:
+    /// every byte outside it is zero.
+    written: Range<usize>,
     /// Base (architectural) permissions, intersected with per-master grants.
     base_perms: Perms,
 }
@@ -44,7 +58,39 @@ impl MemoryRegion {
 
     /// Raw contents (for checkpointing and forensics).
     pub fn data(&self) -> &[u8] {
-        &self.data
+        if self.data.is_empty() {
+            &ZEROS[..self.range.len as usize]
+        } else {
+            &self.data
+        }
+    }
+
+    /// The bytes `[addr, addr+len)`, which must lie inside the region.
+    fn bytes(&self, addr: Addr, len: u64) -> &[u8] {
+        let off = (addr.0 - self.range.start.0) as usize;
+        &self.data()[off..off + len as usize]
+    }
+
+    /// [`MemoryRegion::bytes`] for writing: backs the region on its first
+    /// write.
+    fn bytes_mut(&mut self, addr: Addr, len: u64) -> &mut [u8] {
+        if self.data.is_empty() {
+            self.data = vec![0; self.range.len as usize];
+        }
+        let off = (addr.0 - self.range.start.0) as usize;
+        let span = off..off + len as usize;
+        if self.written.is_empty() {
+            self.written = span.clone();
+        } else {
+            self.written = self.written.start.min(span.start)..self.written.end.max(span.end);
+        }
+        &mut self.data[span]
+    }
+
+    /// Zeroes the written span, keeping the bytes allocated.
+    fn wipe(&mut self) {
+        self.data[self.written.clone()].fill(0);
+        self.written = 0..0;
     }
 }
 
@@ -116,11 +162,27 @@ impl MemoryMap {
             id,
             name: name.to_string(),
             range,
-            data: vec![0; len as usize],
+            data: if len as usize > ZERO_BLOCK {
+                vec![0; len as usize]
+            } else {
+                Vec::new()
+            },
+            written: 0..0,
             base_perms: perms,
         });
         self.grants.push([perms; MasterId::ALL.len()]);
         id
+    }
+
+    /// Restores the map to how [`MemoryMap::add_region`] left it: every
+    /// byte zero and every master granted each region's base permissions.
+    /// Regions keep the bytes they have allocated; only their written
+    /// spans are cleared.
+    pub(crate) fn wipe(&mut self) {
+        for (region, row) in self.regions.iter_mut().zip(&mut self.grants) {
+            region.wipe();
+            *row = [region.base_perms; MasterId::ALL.len()];
+        }
     }
 
     /// Grants `perms` (intersected with the region's base permissions) to
@@ -189,7 +251,25 @@ impl MemoryMap {
         addr: Addr,
         len: u64,
     ) -> Result<RegionId, MemError> {
-        let region = self.region_at(addr).ok_or(MemError::Unmapped(addr))?;
+        self.permit(self.region_at(addr), master, op, addr, len)
+    }
+
+    /// [`MemoryMap::check`] against `region`, the result of
+    /// [`MemoryMap::region_at`] for `addr`, so that a caller which needs the
+    /// region anyway scans the map once.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason the access would fault.
+    pub(crate) fn permit(
+        &self,
+        region: Option<&MemoryRegion>,
+        master: MasterId,
+        op: BusOp,
+        addr: Addr,
+        len: u64,
+    ) -> Result<RegionId, MemError> {
+        let region = region.ok_or(MemError::Unmapped(addr))?;
         if len > 0 && !region.range.covers(&AddrRange::new(addr, len)) {
             return Err(MemError::OutOfBounds(addr));
         }
@@ -207,9 +287,7 @@ impl MemoryMap {
     /// Propagates [`MemError`] from the permission check.
     pub fn read(&self, master: MasterId, addr: Addr, len: u64) -> Result<&[u8], MemError> {
         let id = self.check(master, BusOp::Read, addr, len)?;
-        let region = self.region(id);
-        let off = (addr.0 - region.range.start.0) as usize;
-        Ok(&region.data[off..off + len as usize])
+        Ok(self.bytes(id, addr, len))
     }
 
     /// Performs a checked write.
@@ -218,38 +296,21 @@ impl MemoryMap {
     ///
     /// Propagates [`MemError`] from the permission check.
     pub fn write(&mut self, master: MasterId, addr: Addr, data: &[u8]) -> Result<(), MemError> {
-        self.checked_mut(master, addr, data.len() as u64)?
-            .copy_from_slice(data);
-        Ok(())
-    }
-
-    /// Performs a checked write of `len` copies of `byte`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MemError`] from the permission check.
-    pub fn fill(
-        &mut self,
-        master: MasterId,
-        addr: Addr,
-        len: u64,
-        byte: u8,
-    ) -> Result<(), MemError> {
-        self.checked_mut(master, addr, len)?.fill(byte);
-        Ok(())
-    }
-
-    /// The bytes `[addr, addr+len)` once `master` may write them.
-    fn checked_mut(
-        &mut self,
-        master: MasterId,
-        addr: Addr,
-        len: u64,
-    ) -> Result<&mut [u8], MemError> {
+        let len = data.len() as u64;
         let id = self.check(master, BusOp::Write, addr, len)?;
-        let region = &mut self.regions[id.0 as usize];
-        let off = (addr.0 - region.range.start.0) as usize;
-        Ok(&mut region.data[off..off + len as usize])
+        self.bytes_mut(id, addr, len).copy_from_slice(data);
+        Ok(())
+    }
+
+    /// The bytes `[addr, addr+len)` of region `id`, where an admitted
+    /// access lies.
+    pub(crate) fn bytes(&self, id: RegionId, addr: Addr, len: u64) -> &[u8] {
+        self.region(id).bytes(addr, len)
+    }
+
+    /// [`MemoryMap::bytes`] for writing.
+    pub(crate) fn bytes_mut(&mut self, id: RegionId, addr: Addr, len: u64) -> &mut [u8] {
+        self.regions[id.0 as usize].bytes_mut(addr, len)
     }
 
     /// Unchecked write used by the boot ROM and attack injectors that model
@@ -264,8 +325,9 @@ impl MemoryMap {
             .iter_mut()
             .find(|r| r.range.contains(addr))
             .unwrap_or_else(|| panic!("write_unchecked at unmapped {addr}"));
-        let off = (addr.0 - region.range.start.0) as usize;
-        region.data[off..off + data.len()].copy_from_slice(data);
+        region
+            .bytes_mut(addr, data.len() as u64)
+            .copy_from_slice(data);
     }
 
     /// Unchecked read for boot/forensic tooling.
@@ -277,8 +339,7 @@ impl MemoryMap {
         let region = self
             .region_at(addr)
             .unwrap_or_else(|| panic!("read_unchecked at unmapped {addr}"));
-        let off = (addr.0 - region.range.start.0) as usize;
-        region.data[off..off + len as usize].to_vec()
+        region.bytes(addr, len).to_vec()
     }
 }
 
@@ -397,6 +458,42 @@ mod tests {
         assert!(m.region_at(Addr(0x3000_0000)).is_none());
         assert!(m.region_by_name("nope").is_none());
         assert_eq!(m.regions().len(), 3);
+    }
+
+    #[test]
+    fn unwritten_regions_read_as_zeros_until_their_first_write() {
+        let mut m = map();
+        // Larger than the shared zero block, so backed from the start.
+        let big = 2 * ZERO_BLOCK as u64;
+        m.add_region("big", Addr(0x6000_0000), big, Perms::rw());
+        let mut eager: Vec<Vec<u8>> = m
+            .regions()
+            .iter()
+            .map(|r| vec![0; r.range().len as usize])
+            .collect();
+        for (r, want) in m.regions().iter().zip(&eager) {
+            assert_eq!(r.data(), &want[..], "{} before any write", r.name());
+        }
+        assert_eq!(
+            m.read(MasterId::CPU0, Addr(0x2000_0FFC), 4).unwrap(),
+            [0; 4]
+        );
+        assert_eq!(m.read_unchecked(Addr(0x6000_0000 + big - 4), 4), [0; 4]);
+
+        m.write(MasterId::CPU0, Addr(0x2000_0FFE), &[1, 2]).unwrap();
+        eager[1][0xFFE..].copy_from_slice(&[1, 2]);
+        m.write_unchecked(Addr(0x5000_0010), &[3]);
+        eager[2][0x10] = 3;
+        m.write(MasterId::CPU0, Addr(0x6000_0000 + big - 1), &[4])
+            .unwrap();
+        eager[3][big as usize - 1] = 4;
+        for (r, want) in m.regions().iter().zip(&eager) {
+            assert_eq!(r.data(), &want[..], "{} after the writes", r.name());
+        }
+        assert_eq!(
+            m.read(MasterId::CPU0, Addr(0x2000_0FFC), 4).unwrap(),
+            [0, 0, 1, 2]
+        );
     }
 
     #[test]

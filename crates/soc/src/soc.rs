@@ -5,7 +5,7 @@
 //! (see [`layout`]) that the boot, TEE, monitor and platform crates all
 //! reference by name, so isolation configuration lives in one place.
 
-use crate::addr::{Addr, MasterId, Perms};
+use crate::addr::{Addr, AddrRange, MasterId, Perms};
 use crate::bus::Bus;
 use crate::cpu::Core;
 use crate::mem::MemoryMap;
@@ -275,13 +275,49 @@ impl SocBuilder {
 
     /// Builds the SoC.
     pub fn build(self) -> Soc {
+        let mem = self.memory_map();
+        let bus = Bus::new(self.bus_ring);
+        self.assemble(mem, bus)
+    }
+
+    /// Builds the SoC into `old`'s storage: when `old` has the same regions
+    /// its memory map is wiped and reused, and so is its tap ring when the
+    /// capacity matches, so a pooled device allocates neither again. The
+    /// SoC equals the one [`SocBuilder::build`] makes.
+    pub fn rebuild(self, old: Soc) -> Soc {
+        let Soc { mut mem, bus, .. } = old;
+        let same_regions =
+            mem.regions().len() == self.regions.len()
+                && mem.regions().iter().zip(&self.regions).all(
+                    |(region, (name, base, len, perms))| {
+                        region.name() == name
+                            && region.range() == AddrRange::new(*base, *len)
+                            && region.base_perms() == *perms
+                    },
+                );
+        if same_regions {
+            mem.wipe();
+        } else {
+            mem = self.memory_map();
+        }
+        let bus = bus.renew(self.bus_ring);
+        self.assemble(mem, bus)
+    }
+
+    /// A memory map holding the builder's regions.
+    fn memory_map(&self) -> MemoryMap {
         let mut mem = MemoryMap::new();
         for (name, base, len, perms) in &self.regions {
             mem.add_region(name, *base, *len, *perms);
         }
+        mem
+    }
+
+    /// The SoC around `mem` and `bus`, with everything else fresh.
+    fn assemble(self, mem: MemoryMap, bus: Bus) -> Soc {
         Soc {
             mem,
-            bus: Bus::new(self.bus_ring),
+            bus,
             cores: vec![
                 Core::new(MasterId::CPU0),
                 Core::new(MasterId::CPU1),
@@ -394,6 +430,69 @@ mod tests {
         assert!((v - 20.0).abs() < 2.0);
         let env = soc.read_env(SimTime::ZERO);
         assert!((env.voltage - 3.3).abs() < 0.2);
+    }
+
+    #[test]
+    fn rebuild_reuses_storage_and_equals_a_fresh_build() {
+        let mut old = soc_with_task();
+        for at in 0..50 {
+            old.step_task(TaskId(1), SimTime::at_cycle(at));
+        }
+        old.mem
+            .write_unchecked(layout::SSM_PRIVATE.0.offset(0x80), &[7; 16]);
+        let sram = old.mem.region_by_name("sram").unwrap().id();
+        old.mem.revoke(MasterId::CPU1, sram);
+        old.bus.gate(MasterId::DMA);
+        assert!(old.bus.total_transactions() > 0);
+        assert!(old.mem.region(sram).data().iter().any(|&b| b != 0));
+        let sram_bytes = old.mem.region(sram).data().as_ptr();
+
+        let mut reused = SocBuilder::with_standard_layout(7).rebuild(old);
+        let mut fresh = SocBuilder::with_standard_layout(7).build();
+        assert_eq!(reused.mem.region(sram).data().as_ptr(), sram_bytes);
+        for (a, b) in reused.mem.regions().iter().zip(fresh.mem.regions()) {
+            assert_eq!(
+                (a.name(), a.range(), a.data()),
+                (b.name(), b.range(), b.data())
+            );
+            for m in MasterId::ALL {
+                assert_eq!(
+                    reused.mem.effective_perms(m, a.id()),
+                    fresh.mem.effective_perms(m, b.id())
+                );
+            }
+        }
+        assert_eq!(reused.bus.total_transactions(), 0);
+        assert_eq!(reused.bus.gated_masters().count(), 0);
+        assert!(reused.task_ids().is_empty());
+        // Both now run the same task to the same traffic and bytes.
+        for soc in [&mut reused, &mut fresh] {
+            let program = control_loop_program(layout::FLASH_A.0, layout::SRAM.0, layout::PERIPH.0);
+            soc.add_task(
+                Task::new(TaskId(1), "ctrl", program, Criticality::Critical),
+                0,
+            );
+            for at in 0..50 {
+                soc.step_task(TaskId(1), SimTime::at_cycle(at));
+            }
+        }
+        let poll = |soc: &Soc| soc.bus.poll(&mut Default::default()).0;
+        assert_eq!(poll(&reused), poll(&fresh));
+        for (a, b) in reused.mem.regions().iter().zip(fresh.mem.regions()) {
+            assert_eq!(a.data(), b.data(), "{}", a.name());
+        }
+    }
+
+    #[test]
+    fn rebuild_with_another_layout_builds_fresh() {
+        let old = soc_with_task();
+        let soc = SocBuilder::new()
+            .region("only", Addr(0x1000), 0x100, Perms::rw())
+            .bus_ring(4)
+            .rebuild(old);
+        assert_eq!(soc.mem.regions().len(), 1);
+        assert_eq!(soc.mem.regions()[0].data(), [0; 0x100]);
+        assert_eq!(soc.bus.total_transactions(), 0);
     }
 
     #[test]

@@ -40,15 +40,16 @@ pub struct EvidenceRecord {
 }
 
 impl EvidenceRecord {
+    /// The record's MAC, from a clone of the store's keyed instance.
     fn compute_mac(
-        key: &[u8],
+        keyed: &HmacSha256,
         seq: u64,
         at: SimTime,
         category: &str,
         payload: &str,
         prev: &[u8; 32],
     ) -> [u8; 32] {
-        let mut mac = HmacSha256::new(key);
+        let mut mac = keyed.clone();
         mac.update(&seq.to_le_bytes());
         mac.update(&at.cycle().to_le_bytes());
         mac.update(&(category.len() as u64).to_le_bytes());
@@ -106,7 +107,9 @@ pub struct SealInfo {
 /// The append-only evidence store.
 #[derive(Debug, Clone)]
 pub struct EvidenceStore {
-    key: Vec<u8>,
+    /// HMAC keyed with the store's key once; each record's MAC starts
+    /// from a clone of it.
+    keyed: HmacSha256,
     records: Vec<EvidenceRecord>,
     seals: Vec<SealInfo>,
     // Incremental Merkle state over every appended record's MAC, so a seal
@@ -121,7 +124,7 @@ impl EvidenceStore {
     /// platform).
     pub fn new(key: &[u8]) -> Self {
         EvidenceStore {
-            key: key.to_vec(),
+            keyed: HmacSha256::new(key),
             records: Vec::new(),
             seals: Vec::new(),
             accum: MerkleAccumulator::new(),
@@ -132,8 +135,7 @@ impl EvidenceStore {
     /// key, keeping the record and seal buffers' capacity — the platform
     /// pool's reuse path.
     pub fn reset(&mut self, key: &[u8]) {
-        self.key.clear();
-        self.key.extend_from_slice(key);
+        self.keyed = HmacSha256::new(key);
         self.records.clear();
         self.seals.clear();
         self.accum.clear();
@@ -143,7 +145,7 @@ impl EvidenceStore {
     pub fn append(&mut self, at: SimTime, category: &str, payload: &str) -> u64 {
         let seq = self.records.len() as u64;
         let prev_mac = self.records.last().map_or([0u8; 32], |r| r.mac);
-        let mac = EvidenceRecord::compute_mac(&self.key, seq, at, category, payload, &prev_mac);
+        let mac = EvidenceRecord::compute_mac(&self.keyed, seq, at, category, payload, &prev_mac);
         self.accum.append_digest(&mac);
         self.records.push(EvidenceRecord {
             seq,
@@ -177,7 +179,7 @@ impl EvidenceStore {
     ///
     /// Returns the first [`ChainError`] found.
     pub fn verify(&self) -> Result<(), ChainError> {
-        Self::verify_export(&self.key, &self.records)
+        Self::verify_keyed(&self.keyed, &self.records)
     }
 
     /// Verifies an exported record list against a key — what a forensic
@@ -187,6 +189,11 @@ impl EvidenceStore {
     ///
     /// Returns the first [`ChainError`] found.
     pub fn verify_export(key: &[u8], records: &[EvidenceRecord]) -> Result<(), ChainError> {
+        Self::verify_keyed(&HmacSha256::new(key), records)
+    }
+
+    /// [`EvidenceStore::verify_export`] with the key already absorbed.
+    fn verify_keyed(keyed: &HmacSha256, records: &[EvidenceRecord]) -> Result<(), ChainError> {
         let mut prev = [0u8; 32];
         for (i, rec) in records.iter().enumerate() {
             if rec.seq != i as u64 {
@@ -199,7 +206,7 @@ impl EvidenceStore {
                 return Err(ChainError::BrokenLink(rec.seq));
             }
             let expect = EvidenceRecord::compute_mac(
-                key,
+                keyed,
                 rec.seq,
                 rec.at,
                 &rec.category,

@@ -182,11 +182,6 @@ impl MonitorHealth {
         }
     }
 
-    /// Number of monitors tracked.
-    pub fn monitor_count(&self) -> usize {
-        self.last_seen.len()
-    }
-
     /// Records a heartbeat from monitor `index` at `now`. Heartbeats from a
     /// quarantined monitor are ignored — a resurrected monitor is not
     /// trusted again within a run.
